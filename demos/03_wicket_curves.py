@@ -5,7 +5,7 @@ innings that had exactly w wickets down at t. The fit is constrained through
 the origin (no constant term): nobody has scored before the first ball.
 """
 
-from rainrule import MatchFormat, fit_poly, poly_eval, wicket_curve
+from rainrule import MatchFormat, fit_poly, poly_eval, wicket_curves
 from rainrule.fixtures import demo_corpus
 
 corpus = demo_corpus()
@@ -14,9 +14,10 @@ FMT = MatchFormat.ODI
 print(f"{FMT.value} innings 1, cubic fits per wickets-down state\n")
 print(f"{'w':>2}{'balls':>7}{'a':>14}{'b':>12}{'c':>10}{'rss/ball':>12}")
 
+curves = wicket_curves(corpus, FMT, 1, min_support=5)  # every state, one corpus pass
 fits = {}
 for w in range(4):
-    curve = wicket_curve(corpus, FMT, 1, w, min_support=5)
+    curve = curves[w]
     fit = fit_poly(curve, degree=3)
     fits[w] = (curve, fit)
     print(

@@ -44,6 +44,7 @@ __all__ = [
     "parse_match",
     "load_corpus",
     "trajectory",
+    "qualifying_trajectories",
     "export_csv",
     "CSV_HEADER",
 ]
@@ -297,21 +298,23 @@ def _match_from_json(
     if not isinstance(raw_innings, list) or not raw_innings:
         raise ParseError("missing or empty 'innings' array", position="$.innings")
 
+    innings: list[InningsRecord] = []
+    dropped = 0
+    for i, entry in enumerate(raw_innings):
+        # a malformed innings (not an object, unordered deliveries, more than
+        # ten wickets) fails this one document, never the batch loading it
+        try:
+            if i < 2:
+                innings.append(_innings_from_json(entry, i + 1))
+            else:
+                dropped += sum(len(o.get("deliveries", ())) for o in entry.get("overs", ()))
+        except (AttributeError, TypeError, ValueError) as e:
+            raise ParseError(f"bad innings: {e}", position=f"$.innings[{i}]") from e
     warns: list[str] = []
     if len(raw_innings) > 2:
-        dropped = sum(
-            len(over.get("deliveries", ()))
-            for entry in raw_innings[2:]
-            for over in entry.get("overs", ())
-        )
         warns.append(
             f"dropped {dropped} deliveries in {len(raw_innings) - 2} innings beyond innings 2"
         )
-        raw_innings = raw_innings[:2]
-
-    innings = tuple(
-        _innings_from_json(entry, index + 1) for index, entry in enumerate(raw_innings)
-    )
 
     if match_id is None:
         slug = "-".join(t.lower().replace(" ", "_") for t in teams)
@@ -402,9 +405,8 @@ def _matches_from_csv(
     if not lines or lines[0].strip() != CSV_HEADER:
         raise ParseError("CSV header does not match the canonical ball log", position="line 1")
 
-    # (match_id, innings) -> deliveries, preserving first-appearance order
-    by_match: dict[str, MatchFormat] = {}
-    rows: dict[tuple[str, int], list[DeliveryEvent]] = {}
+    # match_id -> (format, innings index -> deliveries), in first-appearance order
+    by_match: dict[str, tuple[MatchFormat, dict[int, list[DeliveryEvent]]]] = {}
     for line_no, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
@@ -415,7 +417,8 @@ def _matches_from_csv(
             )
         mid, fmt_s, inn_s, over_s, bio_s, legal_s, br_s, er_s, kind_s, wicket_s = parts
         fmt = format_hint or MatchFormat.from_string(fmt_s)
-        if by_match.setdefault(mid, fmt) is not fmt:
+        match_fmt, by_index = by_match.setdefault(mid, (fmt, {}))
+        if match_fmt is not fmt:
             raise ParseError(
                 f"conflicting formats for match {mid!r}", position=f"line {line_no}"
             )
@@ -432,19 +435,18 @@ def _matches_from_csv(
             )
         except ValueError as e:
             raise ParseError(f"bad delivery row: {e}", position=f"line {line_no}") from e
-        rows.setdefault((mid, innings_index), []).append(event)
+        by_index.setdefault(innings_index, []).append(event)
 
     records = []
-    for mid, fmt in by_match.items():
+    for mid, (fmt, by_index) in by_match.items():
         innings = []
-        for (row_mid, idx), deliveries in rows.items():
-            if row_mid != mid:
-                continue
+        for idx, deliveries in by_index.items():
             if idx not in (1, 2):
                 raise ParseError(f"innings index {idx} out of range for match {mid!r}")
-            innings.append(
-                InningsRecord(innings_index=idx, batting_team="", deliveries=tuple(deliveries))
-            )
+            try:
+                innings.append(InningsRecord(idx, "", tuple(deliveries)))
+            except ValueError as e:
+                raise ParseError(f"bad innings {idx} of match {mid!r}: {e}") from e
         innings.sort(key=lambda inn: inn.innings_index)
         records.append(
             MatchRecord(
@@ -550,6 +552,28 @@ def trajectory(innings: InningsRecord, format: MatchFormat) -> InningsTrajectory
         total=int(cum_runs[-1]),
         completed_balls=n_legal,
     )
+
+
+def qualifying_trajectories(
+    corpus: Iterable[MatchRecord], format: MatchFormat, innings_index: int
+) -> Iterator[InningsTrajectory]:
+    """Trajectories of the innings that curves and resource grids use.
+
+    Yields, in corpus order, the trajectory of every ``innings_index``
+    innings of ``format`` that ran its scheduled length or ended all out.
+    Innings from shortened matches are left out, and so are innings with no
+    deliveries (abandoned), which can never qualify.
+    """
+    scheduled = format.scheduled_balls
+    for match in corpus:
+        if match.format is not format:
+            continue
+        for inn in match.innings:
+            if inn.innings_index != innings_index or not inn.deliveries:
+                continue
+            traj = trajectory(inn, format)
+            if traj.completed_balls >= scheduled or int(traj.wickets[-1]) == 10:
+                yield traj
 
 
 # ---------------------------------------------------------------------------

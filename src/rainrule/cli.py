@@ -19,15 +19,11 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from datetime import date
 from pathlib import Path
 
-import numpy as np
-
 from . import dl_reference, run_curves, score_stats, target_engine
 from .ball_log import Corpus, MatchFormat, export_csv, load_corpus
-from .dl_reference import ResourceTable
 from .errors import (
     DataError,
     EmptyCurveError,
@@ -39,7 +35,7 @@ from .errors import (
     UnsupportedFormatError,
 )
 from .fixtures import demo_corpus
-from .run_curves import PolyFit
+from .run_curves import DEFAULT_MIN_SUPPORT, PolyFit
 
 EXIT_OK = 0
 EXIT_DATA = 2
@@ -49,65 +45,31 @@ EXIT_FIT = 4
 _FORMATS = (MatchFormat.ODI, MatchFormat.T20I, MatchFormat.IPL)
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved command options shared by the corpus-driven subcommands."""
-
-    data_dir: Path | None
-    format: MatchFormat | None
-    innings_index: int
-    bin_width: float
-    min_support: int
-    degree: int
-    output_dir: Path
-    until: date | None = None
-    fixture: bool = False
-    export: Path | None = None
-
-    def __post_init__(self):
-        if self.innings_index not in (1, 2):
-            raise InvalidScenarioError("innings must be 1 or 2")
-        if not self.bin_width > 0:
-            raise InvalidScenarioError("bin-width must be positive")
-        if self.min_support < 1:
-            raise InvalidScenarioError("min-support must be a positive integer")
-        if self.degree not in (2, 3):
-            raise InvalidScenarioError("degree must be 2 or 3")
+def _data_dir(args: argparse.Namespace) -> str | Path | None:
+    return args.data_dir or os.environ.get("RAINRULE_DATA_DIR") or None
 
 
-def _config(args: argparse.Namespace) -> RunConfig:
-    data_dir = getattr(args, "data_dir", None)
-    if data_dir is None:
-        env = os.environ.get("RAINRULE_DATA_DIR")
-        data_dir = Path(env) if env else None
-    return RunConfig(
-        data_dir=Path(data_dir) if data_dir is not None else None,
-        format=getattr(args, "format", None),
-        innings_index=getattr(args, "innings", 1),
-        bin_width=getattr(args, "bin_width", 10.0),
-        min_support=getattr(args, "min_support", 10),
-        degree=getattr(args, "degree", 3),
-        output_dir=Path(getattr(args, "out", None) or "rainrule_out"),
-        until=getattr(args, "until", None),
-        fixture=getattr(args, "fixture", False),
-        export=getattr(args, "export_csv", None),
-    )
-
-
-def _corpus(config: RunConfig) -> Corpus:
-    if config.fixture:
+def _corpus(args: argparse.Namespace) -> Corpus:
+    if args.fixture:
         matches = sorted(demo_corpus(), key=lambda m: m.match_id)
         corpus = Corpus(tuple(matches), ())
     else:
-        if config.data_dir is None:
+        data_dir = _data_dir(args)
+        if data_dir is None:
             raise EmptySelectionError(
                 "no data source: pass --data-dir, set RAINRULE_DATA_DIR, or use --fixture"
             )
-        corpus = load_corpus(config.data_dir, config.format)
-    if config.until is not None:
-        kept = tuple(m for m in corpus if m.date <= config.until)
+        corpus = load_corpus(data_dir, args.format)
+    if args.until is not None:
+        kept = tuple(m for m in corpus if m.date <= args.until)
         corpus = Corpus(kept, corpus.diagnostics)
     return corpus
+
+
+def _output_dir(args: argparse.Namespace) -> Path:
+    out = args.out or Path("rainrule_out")
+    out.mkdir(parents=True, exist_ok=True)
+    return out
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -128,8 +90,7 @@ def _read_json(path: Path) -> dict:
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:
-    config = _config(args)
-    corpus = _corpus(config)
+    corpus = _corpus(args)
     for diag in corpus.diagnostics:
         print(f"warning: {diag.source}: {diag.message}", file=sys.stderr)
     counts = {fmt: 0 for fmt in _FORMATS}
@@ -142,9 +103,9 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     if len(corpus) == 0:
         print("error: corpus is empty", file=sys.stderr)
         return EXIT_DATA
-    if config.export is not None:
-        rows = export_csv(corpus, config.export)
-        print(f"exported {rows} deliveries to {config.export}")
+    if args.export_csv is not None:
+        rows = export_csv(corpus, args.export_csv)
+        print(f"exported {rows} deliveries to {args.export_csv}")
     return EXIT_OK
 
 
@@ -153,10 +114,9 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
-    config = _config(args)
-    corpus = _corpus(config)
-    formats = (config.format,) if config.format else _FORMATS
-    config.output_dir.mkdir(parents=True, exist_ok=True)
+    corpus = _corpus(args)
+    formats = (args.format,) if args.format else _FORMATS
+    out = _output_dir(args)
 
     rows = []
     for fmt in formats:
@@ -164,17 +124,17 @@ def cmd_stats(args: argparse.Namespace) -> int:
             tag = f"{fmt.value}_i{innings}"
             try:
                 values = score_stats.totals(corpus, fmt, innings)
-                hist = score_stats.build_histogram(values, config.bin_width)
+                hist = score_stats.build_histogram(values, args.bin_width)
                 fit = score_stats.fit_normal(hist)
             except (DataError, FitError) as e:
                 print(f"warning: {fmt.value} innings {innings}: {e}", file=sys.stderr)
                 continue
-            (config.output_dir / f"hist_{tag}.csv").write_text(
+            (out / f"hist_{tag}.csv").write_text(
                 score_stats.histogram_csv(hist, fit), encoding="utf-8"
             )
             summary = {"format": fmt.value, "innings": innings}
             summary.update(score_stats.fit_summary(fit, hist))
-            _write_json(config.output_dir / f"normal_{tag}.json", summary)
+            _write_json(out / f"normal_{tag}.json", summary)
             rows.append((fmt.value, innings, hist.n_samples, fit))
 
     if not rows:
@@ -186,7 +146,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
             f"{fmt_name:<8}{innings:>8}{n:>6}"
             f"{fit.xi:>12.3f}{fit.sigma:>12.3f}{fit.amplitude:>14.3f}"
         )
-    print(f"wrote {2 * len(rows)} files to {config.output_dir}")
+    print(f"wrote {2 * len(rows)} files to {out}")
     return EXIT_OK
 
 
@@ -195,23 +155,21 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 
 def cmd_curves(args: argparse.Namespace) -> int:
-    config = _config(args)
-    corpus = _corpus(config)
-    fmt = config.format or MatchFormat.ODI
-    config.output_dir.mkdir(parents=True, exist_ok=True)
+    corpus = _corpus(args)
+    fmt = args.format or MatchFormat.ODI
+    out = _output_dir(args)
 
+    curves = run_curves.wicket_curves(corpus, fmt, args.innings, args.min_support)
     fits: dict[str, dict] = {}
     for w in range(10):
         try:
-            curve = run_curves.wicket_curve(
-                corpus, fmt, config.innings_index, w, config.min_support
-            )
-            fit = run_curves.fit_poly(curve, config.degree)
+            curve = run_curves.state_curve(curves, w, args.min_support)
+            fit = run_curves.fit_poly(curve, args.degree)
         except FitError as e:
             print(f"warning: w={w}: {e}", file=sys.stderr)
             continue
-        tag = f"{fmt.value}_i{config.innings_index}_w{w}"
-        (config.output_dir / f"curve_{tag}.csv").write_text(
+        tag = f"{fmt.value}_i{args.innings}_w{w}"
+        (out / f"curve_{tag}.csv").write_text(
             run_curves.curve_csv(curve, fit), encoding="utf-8"
         )
         fits[str(w)] = run_curves.fit_summary(curve, fit)
@@ -219,18 +177,17 @@ def cmd_curves(args: argparse.Namespace) -> int:
         print("error: no wicket state could be fitted", file=sys.stderr)
         return EXIT_FIT
 
-    family_path = config.output_dir / f"poly_{fmt.value}_i{config.innings_index}.json"
     _write_json(
-        family_path,
+        out / f"poly_{fmt.value}_i{args.innings}.json",
         {
             "format": fmt.value,
-            "innings": config.innings_index,
-            "degree": config.degree,
+            "innings": args.innings,
+            "degree": args.degree,
             "fits": fits,
         },
     )
     print(f"fitted {len(fits)} of 10 wicket curves")
-    print(f"wrote {len(fits) + 1} files to {config.output_dir}")
+    print(f"wrote {len(fits) + 1} files to {out}")
     return EXIT_OK
 
 
@@ -269,8 +226,8 @@ def cmd_target(args: argparse.Namespace) -> int:
     scenario = target_engine.scenario_from_json(doc)
     fit = _load_poly_fit(args.fits, scenario.wickets_at_stoppage)
 
-    ratio = target_engine.resource_ratio(fit, scenario)
-    if ratio <= 0.0:
+    revision = target_engine.revise_target(fit, scenario)
+    if revision.ratio <= 0.0:
         print(json.dumps({"ratio": 0.0}, indent=2, sort_keys=True))
         print(
             "error: nothing to chase: every scheduled ball falls inside the "
@@ -278,13 +235,11 @@ def cmd_target(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return EXIT_SCENARIO
-    revision = target_engine.revise_target(fit, scenario)
     payload = target_engine.revision_to_json(revision)
     print(json.dumps(payload, indent=2, sort_keys=True))
-    if getattr(args, "out", None):
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        _write_json(out_dir / "revision.json", payload)
+    if args.out:
+        args.out.mkdir(parents=True, exist_ok=True)
+        _write_json(args.out / "revision.json", payload)
     return EXIT_OK
 
 
@@ -292,61 +247,31 @@ def cmd_target(args: argparse.Namespace) -> int:
 # compare
 
 
-def _scenario_format(doc: dict, config: RunConfig, scenario) -> MatchFormat:
+def _scenario_format(doc: dict, args: argparse.Namespace, scenario) -> MatchFormat:
     if "format" in doc:
         return MatchFormat.from_string(str(doc["format"]))
-    if config.format is not None:
-        return config.format
+    if args.format is not None:
+        return args.format
     # fall back on the scheduled length
     return MatchFormat.ODI if scenario.N >= 300 else MatchFormat.T20I
 
 
-def _load_resource_table(path: Path) -> ResourceTable:
-    try:
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
-    except OSError as e:
-        raise ParseError(f"cannot read {path}: {e}")
-    expected = "overs_remaining," + ",".join(str(w) for w in range(11))
-    if not lines or lines[0].strip() != expected:
-        raise ParseError("resource table header mismatch", position=f"{path}:1")
-    rows: dict[int, list[float]] = {}
-    for line_no, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        if len(parts) != 12:
-            raise ParseError("expected 12 fields", position=f"{path}:{line_no}")
-        try:
-            rows[int(parts[0])] = [float(v) for v in parts[1:]]
-        except ValueError as e:
-            raise ParseError(f"bad cell: {e}", position=f"{path}:{line_no}")
-    if not rows or sorted(rows) != list(range(max(rows) + 1)):
-        raise ParseError(f"resource table rows must cover u = 0..max ({path})")
-    max_overs = max(rows)
-    grid = np.array([rows[u] for u in range(max_overs + 1)])
-    return ResourceTable(max_overs=max_overs, grid=grid)
-
-
 def cmd_compare(args: argparse.Namespace) -> int:
-    config = _config(args)
     doc = _read_json(args.scenario)
     scenario = target_engine.scenario_from_json(doc)
     fit = _load_poly_fit(args.fits, scenario.wickets_at_stoppage)
     revision = target_engine.revise_target(fit, scenario)
     payload: dict = {"area_ratio": target_engine.revision_to_json(revision)}
 
-    fmt = _scenario_format(doc, config, scenario)
+    fmt = _scenario_format(doc, args, scenario)
     table = None
-    if getattr(args, "dl_table", None):
-        table = _load_resource_table(args.dl_table)
-    elif config.fixture or config.data_dir is not None:
-        corpus = _corpus(config)
-        family = dl_reference.fit_dl_family(
-            corpus, fmt, min_support=config.min_support
-        )
+    if args.dl_table:
+        table = dl_reference.load_resource_table(args.dl_table)
+    elif args.fixture or _data_dir(args) is not None:
+        corpus = _corpus(args)
+        family = dl_reference.fit_dl_family(corpus, fmt, min_support=args.min_support)
         table = dl_reference.resource_table(family, fmt.scheduled_overs)
-        config.output_dir.mkdir(parents=True, exist_ok=True)
-        table_path = config.output_dir / f"resource_{fmt.value}.csv"
+        table_path = _output_dir(args) / f"resource_{fmt.value}.csv"
         table_path.write_text(dl_reference.resource_table_csv(table), encoding="utf-8")
         print(f"wrote fitted resource table to {table_path}", file=sys.stderr)
 
@@ -370,10 +295,9 @@ def cmd_compare(args: argparse.Namespace) -> int:
             "percent_lost": at_stop - at_restart,
         }
     print(json.dumps(payload, indent=2, sort_keys=True))
-    if getattr(args, "out", None):
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        _write_json(out_dir / "comparison.json", payload)
+    if args.out:
+        args.out.mkdir(parents=True, exist_ok=True)
+        _write_json(args.out / "comparison.json", payload)
     return EXIT_OK
 
 
@@ -461,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_curves = sub.add_parser("curves", help="wicket curves and polynomial fits")
     _add_corpus_flags(p_curves)
     p_curves.add_argument("--innings", type=int, choices=(1, 2), default=1)
-    p_curves.add_argument("--min-support", type=_positive_int, default=10)
+    p_curves.add_argument("--min-support", type=_positive_int, default=DEFAULT_MIN_SUPPORT)
     p_curves.add_argument("--degree", type=int, choices=(2, 3), default=3)
     p_curves.set_defaults(func=cmd_curves)
 
@@ -481,7 +405,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--dl-table", type=Path, default=None,
         help="resource table CSV (otherwise fitted from the corpus when available)",
     )
-    p_compare.add_argument("--min-support", type=_positive_int, default=10)
+    p_compare.add_argument(
+        "--min-support", type=_positive_int, default=DEFAULT_MIN_SUPPORT
+    )
     p_compare.set_defaults(func=cmd_compare)
 
     return parser

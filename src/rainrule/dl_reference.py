@@ -13,13 +13,14 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
-from .ball_log import MatchFormat, MatchRecord, trajectory
-from .errors import DegenerateFitError, IncompleteFamilyError, InsufficientDataError
+from .ball_log import MatchFormat, MatchRecord, qualifying_trajectories
+from .errors import DegenerateFitError, IncompleteFamilyError, InsufficientDataError, ParseError
 from .leastsq import damped_gauss_newton
-from .run_curves import DEFAULT_MIN_SUPPORT, _qualifies
+from .run_curves import DEFAULT_MIN_SUPPORT
 
 __all__ = [
     "DLCurve",
@@ -30,6 +31,7 @@ __all__ = [
     "fit_dl_family",
     "resource_table",
     "resource_table_csv",
+    "load_resource_table",
 ]
 
 _Z0_FLOOR = 1e-9
@@ -104,26 +106,16 @@ def remaining_run_means(
     max_overs = format.scheduled_overs
     sums = np.zeros((10, max_overs + 1))
     counts = np.zeros((10, max_overs + 1), dtype=int)
-    for match in corpus:
-        if match.format is not format:
-            continue
-        for innings in match.innings:
-            if innings.innings_index != 1:
-                continue
-            traj = trajectory(innings, format)
-            if not _qualifies(traj, scheduled):
-                continue
-            last_mark = min(traj.completed_balls, scheduled - 6)
-            marks = np.arange(0, last_mark + 1, 6)
-            overs_left = max_overs - marks // 6
-            at = np.maximum(marks - 1, 0)
-            runs_at = np.where(marks == 0, 0, traj.runs[at])
-            wkts_at = np.where(marks == 0, 0, traj.wickets[at])
-            keep = wkts_at <= 9
-            np.add.at(
-                sums, (wkts_at[keep], overs_left[keep]), traj.total - runs_at[keep]
-            )
-            np.add.at(counts, (wkts_at[keep], overs_left[keep]), 1)
+    for traj in qualifying_trajectories(corpus, format, 1):
+        last_mark = min(traj.completed_balls, scheduled - 6)
+        marks = np.arange(0, last_mark + 1, 6)
+        overs_left = max_overs - marks // 6
+        at = np.maximum(marks - 1, 0)
+        runs_at = np.where(marks == 0, 0, traj.runs[at])
+        wkts_at = np.where(marks == 0, 0, traj.wickets[at])
+        keep = wkts_at <= 9
+        np.add.at(sums, (wkts_at[keep], overs_left[keep]), traj.total - runs_at[keep])
+        np.add.at(counts, (wkts_at[keep], overs_left[keep]), 1)
     points: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
     for w in range(10):
         retained = np.flatnonzero(counts[w] >= max(min_support, 1))
@@ -273,10 +265,42 @@ def resource_table(family: Sequence[DLCurve], max_overs: int) -> ResourceTable:
     return ResourceTable(max_overs=max_overs, grid=grid)
 
 
+_TABLE_HEADER = "overs_remaining," + ",".join(str(w) for w in range(11))
+
+
 def resource_table_csv(table: ResourceTable) -> str:
     """Render the table as CSV, rows u = max_overs..0, columns w = 0..10."""
-    lines = ["overs_remaining," + ",".join(str(w) for w in range(11))]
+    lines = [_TABLE_HEADER]
     for u in range(table.max_overs, -1, -1):
         cells = ",".join(f"{table.percentage(u, w):.1f}" for w in range(11))
         lines.append(f"{u},{cells}")
     return "\n".join(lines) + "\n"
+
+
+def load_resource_table(path: str | Path) -> ResourceTable:
+    """Read a table written by :func:`resource_table_csv`; rows must cover u = 0..max.
+
+    A malformed file raises :class:`ParseError` positioned at ``path:line``.
+    """
+    try:
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+    except OSError as e:
+        raise ParseError(f"cannot read {path}: {e}")
+    if not lines or lines[0].strip() != _TABLE_HEADER:
+        raise ParseError("resource table header mismatch", position=f"{path}:1")
+    rows: dict[int, list[float]] = {}
+    for line_no, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        parts = line.split(",")
+        if len(parts) != 12:
+            raise ParseError("expected 12 fields", position=f"{path}:{line_no}")
+        try:
+            rows[int(parts[0])] = [float(v) for v in parts[1:]]
+        except ValueError as e:
+            raise ParseError(f"bad cell: {e}", position=f"{path}:{line_no}")
+    if not rows or sorted(rows) != list(range(max(rows) + 1)):
+        raise ParseError(f"resource table rows must cover u = 0..max ({path})")
+    max_overs = max(rows)
+    grid = np.array([rows[u] for u in range(max_overs + 1)])
+    return ResourceTable(max_overs=max_overs, grid=grid)

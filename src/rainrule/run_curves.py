@@ -18,13 +18,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ball_log import InningsTrajectory, MatchFormat, MatchRecord, trajectory
+from .ball_log import MatchFormat, MatchRecord, qualifying_trajectories
 from .errors import EmptyCurveError, SingularFitError
 
 __all__ = [
     "WicketCurve",
     "PolyFit",
     "wicket_curve",
+    "wicket_curves",
+    "state_curve",
     "fit_poly",
     "poly_eval",
     "curve_csv",
@@ -90,12 +92,58 @@ def poly_eval(fit: PolyFit, x):
     return ((fit.a * x + fit.b) * x + fit.c) * x
 
 
-def _qualifies(traj: InningsTrajectory, scheduled_balls: int) -> bool:
-    # innings from shortened matches are excluded entirely; an all-out
-    # innings ended naturally and stays in
-    if traj.completed_balls >= scheduled_balls:
-        return True
-    return traj.wickets.size > 0 and int(traj.wickets[-1]) == 10
+def _support_floor(min_support: int) -> int:
+    return max(int(min_support), 1)  # a retained mean needs one innings behind it
+
+
+def wicket_curves(
+    corpus: Iterable[MatchRecord],
+    format: MatchFormat,
+    innings_index: int,
+    min_support: int = DEFAULT_MIN_SUPPORT,
+) -> dict[int, WicketCurve]:
+    """Curves for every wicket state w = 0..10 from one pass over the corpus.
+
+    Each qualifying innings adds its cumulative score at every ball to the
+    (wickets down, ball) cell it occupies.  Balls supported by fewer than
+    ``min_support`` innings are omitted, and a state with no retained ball
+    is absent from the result.
+    """
+    min_support = _support_floor(min_support)
+    width = format.scheduled_balls + 1
+    # the empty seeds keep concatenate valid when no innings qualifies
+    cells, runs = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+    for traj in qualifying_trajectories(corpus, format, innings_index):
+        cells.append(traj.wickets * width + traj.ball)
+        runs.append(traj.runs)
+    flat = np.concatenate(cells)
+    # runs are integers, so the float64 sums are exact in any order
+    sums = np.bincount(flat, weights=np.concatenate(runs), minlength=11 * width).reshape(11, width)
+    count = np.bincount(flat, minlength=11 * width).reshape(11, width)
+
+    curves: dict[int, WicketCurve] = {}
+    for w in range(11):
+        retained = np.flatnonzero(count[w, 1:] >= min_support) + 1
+        if retained.size:
+            curves[w] = WicketCurve(
+                wickets=w,
+                balls=retained,
+                means=sums[w, retained] / count[w, retained],
+                support=count[w, retained],
+                format=format,
+                innings_index=innings_index,
+            )
+    return curves
+
+
+def state_curve(curves: dict[int, WicketCurve], w: int, min_support: int) -> WicketCurve:
+    """The ``w`` entry of a :func:`wicket_curves` result, or :class:`EmptyCurveError`."""
+    if w not in curves:
+        raise EmptyCurveError(
+            f"no ball has {_support_floor(min_support)}+ innings "
+            f"with exactly {w} wickets down"
+        )
+    return curves[w]
 
 
 def wicket_curve(
@@ -112,38 +160,7 @@ def wicket_curve(
     """
     if not 0 <= w <= 10:
         raise ValueError("w must be in [0, 10]")
-    min_support = max(int(min_support), 1)
-    scheduled = format.scheduled_balls
-    sums = np.zeros(scheduled + 1)
-    count = np.zeros(scheduled + 1, dtype=np.int64)
-
-    for match in corpus:
-        if match.format is not format:
-            continue
-        for inn in match.innings:
-            if inn.innings_index != innings_index:
-                continue
-            traj = trajectory(inn, format)
-            if not _qualifies(traj, scheduled):
-                continue
-            mask = (traj.wickets == w) & (traj.ball <= scheduled)
-            idx = traj.ball[mask]
-            sums[idx] += traj.runs[mask]
-            count[idx] += 1
-
-    retained = np.nonzero(count[1:] >= min_support)[0] + 1
-    if retained.size == 0:
-        raise EmptyCurveError(
-            f"no ball has {min_support}+ innings with exactly {w} wickets down"
-        )
-    return WicketCurve(
-        wickets=w,
-        balls=retained,
-        means=sums[retained] / count[retained],
-        support=count[retained],
-        format=format,
-        innings_index=innings_index,
-    )
+    return state_curve(wicket_curves(corpus, format, innings_index, min_support), w, min_support)
 
 
 def fit_poly(curve: WicketCurve, degree: int = 3, weighted: bool = True) -> PolyFit:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from datetime import date
 
 import numpy as np
 import pytest
@@ -13,12 +14,14 @@ from rainrule import (
     ExtrasKind,
     InningsRecord,
     MatchFormat,
+    MatchRecord,
     ParseError,
     ParseWarning,
     UnsupportedFormatError,
     export_csv,
     load_corpus,
     parse_match,
+    qualifying_trajectories,
     trajectory,
 )
 from rainrule.fixtures import fixture_path, synthetic_corpus, write_corpus
@@ -172,6 +175,54 @@ class TestLoadCorpus:
                 assert gi.deliveries == wi.deliveries
 
 
+RUN = {"runs": {"batter": 1, "extras": 0}}
+WICKET = {"runs": {"batter": 0, "extras": 0}, "wickets": [{"kind": "bowled"}]}
+
+
+def json_match(*innings):
+    doc = json.loads(fixture_path("tiny_t20i.json").read_text())
+    doc["innings"] = list(innings)
+    return json.dumps(doc)
+
+
+def json_innings(*overs):
+    return {"team": "X", "overs": [{"over": o, "deliveries": d} for o, d in overs]}
+
+
+BAD_FILES = [
+    ("not_an_object.json", json_match(json_innings((0, [RUN])), "x"), "$.innings[1]"),
+    (
+        "bad_super_over.json",
+        json_match(json_innings((0, [RUN])), json_innings((0, [RUN])), 7),
+        "$.innings[2]",
+    ),
+    (
+        "eleven_wickets.json",
+        json_match(json_innings((0, [WICKET] * 6), (1, [WICKET] * 5))),
+        "$.innings[0]",
+    ),
+    ("unordered.json", json_match(json_innings((1, [RUN]), (0, [RUN]))), "$.innings[0]"),
+    (
+        "eleven_wickets.csv",
+        CSV_HEADER
+        + "\n"
+        + "".join(f"m1,t20i,1,0,{b},true,0,0,none,true\n" for b in range(1, 12)),
+        "innings 1 of match 'm1'",
+    ),
+]
+
+
+@pytest.mark.parametrize("name, text, position", BAD_FILES, ids=[f[0] for f in BAD_FILES])
+def test_one_bad_file_is_one_diagnostic(tmp_path, name, text, position):
+    for good in ("tiny_odi.json", "tiny_t20i.json"):
+        (tmp_path / good).write_bytes(fixture_path(good).read_bytes())
+    (tmp_path / name).write_text(text)
+    corpus = load_corpus(tmp_path)
+    assert [m.match_id for m in corpus] == ["tiny_odi", "tiny_t20i"]
+    assert [d.source for d in corpus.diagnostics] == [name]
+    assert position in corpus.diagnostics[0].message
+
+
 # ---------------------------------------------------------------------------
 # record invariants
 
@@ -257,6 +308,26 @@ class TestTrajectory:
         inn = InningsRecord(1, "X", events)
         with pytest.raises(ValueError, match="schedule"):
             trajectory(inn, MatchFormat.T20I)
+
+
+def test_qualifying_trajectories_keep_full_and_all_out_innings():
+    def match(match_id, fmt, index, events):
+        innings = (InningsRecord(index, "X", tuple(events)),)
+        return MatchRecord(match_id, fmt, date(2019, 1, 1), ("A", "B"), "V", innings)
+
+    def balls(n, wickets=()):
+        return [legal(i // 6, i % 6 + 1, 1, wicket=i in wickets) for i in range(n)]
+
+    corpus = [
+        match("full", MatchFormat.T20I, 1, balls(120)),
+        match("short", MatchFormat.T20I, 1, balls(30)),
+        match("all_out", MatchFormat.T20I, 1, balls(12, wickets=range(2, 12))),
+        match("abandoned", MatchFormat.T20I, 1, []),
+        match("second", MatchFormat.T20I, 2, balls(120)),
+        match("ipl", MatchFormat.IPL, 1, balls(120)),
+    ]
+    kept = list(qualifying_trajectories(corpus, MatchFormat.T20I, 1))
+    assert [(t.completed_balls, t.total) for t in kept] == [(120, 120), (12, 12)]
 
 
 def test_synthetic_corpus_is_deterministic():

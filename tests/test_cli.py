@@ -9,7 +9,12 @@ import pytest
 from rainrule import MatchFormat, fit_dl_family, resource_table, resource_table_csv
 from rainrule.ball_log import CSV_HEADER
 from rainrule.cli import main
-from rainrule.fixtures import exponential_profile_corpus, synthetic_corpus, write_corpus
+from rainrule.fixtures import (
+    exponential_profile_corpus,
+    match_to_json,
+    synthetic_corpus,
+    write_corpus,
+)
 
 WORKED_SCENARIO = {
     "format": "odi",
@@ -138,6 +143,36 @@ class TestCurves:
         captured = capsys.readouterr()
         assert code == 4
         assert "no wicket state" in captured.err
+
+
+@pytest.mark.parametrize("index", [1, 2])
+def test_abandoned_innings_is_left_out(tmp_path, capsys, index):
+    # a match whose innings ``index`` has no deliveries, next to the same
+    # corpus with that innings removed (with the match, if it was the only one)
+    matches = synthetic_corpus(MatchFormat.ODI, 12, seed=3)
+    with_empty, without = tmp_path / "with_empty", tmp_path / "without"
+    write_corpus(matches, with_empty)
+    write_corpus(matches, without)
+    doc = match_to_json(matches[0])
+    doc["innings"] = doc["innings"][:index]
+    doc["innings"][-1]["overs"] = []
+    write_json(with_empty / "abandoned.json", doc)
+    if index == 2:
+        doc["innings"] = doc["innings"][:1]
+        write_json(without / "abandoned.json", doc)
+
+    scenario = write_json(tmp_path / "scenario.json", WORKED_SCENARIO)
+    fits = write_json(tmp_path / "fits.json", WORKED_FITS)
+    for root in (with_empty, without):
+        out = tmp_path / f"out_{root.name}"
+        flags = ["--data-dir", str(root), "--min-support", "2", "--out", str(out)]
+        assert main(["curves", "--innings", str(index)] + flags) == 0
+        assert main(["compare", "--scenario", str(scenario), "--fits", str(fits)] + flags) == 0
+    capsys.readouterr()
+    got, want = tmp_path / "out_with_empty", tmp_path / "out_without"
+    assert sorted(p.name for p in got.iterdir()) == sorted(p.name for p in want.iterdir())
+    for path in want.iterdir():
+        assert (got / path.name).read_bytes() == path.read_bytes()
 
 
 class TestTarget:

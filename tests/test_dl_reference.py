@@ -10,8 +10,10 @@ from rainrule import (
     IncompleteFamilyError,
     InsufficientDataError,
     MatchFormat,
+    ParseError,
     fit_dl_curve,
     fit_dl_family,
+    load_resource_table,
     remaining_run_means,
     resource_table,
     resource_table_csv,
@@ -168,3 +170,20 @@ class TestResourceTable:
         last = lines[-1].split(",")
         assert last[0] == "0"
         assert set(last[1:]) == {"0.0"}
+
+    def test_csv_round_trip(self, odi_table, tmp_path):
+        path = tmp_path / "table.csv"
+        text = resource_table_csv(odi_table)
+        path.write_text(text)
+        assert resource_table_csv(load_resource_table(path)) == text
+
+    def test_malformed_csv_rejected(self, odi_table, tmp_path):
+        rows = resource_table_csv(odi_table).splitlines()
+        path = tmp_path / "table.csv"
+        path.write_text("\n".join(rows[:2] + [rows[2] + ",1.0"] + rows[3:]) + "\n")
+        with pytest.raises(ParseError) as exc:
+            load_resource_table(path)
+        assert exc.value.position == f"{path}:3"
+        path.write_text("\n".join(rows[:-1]) + "\n")
+        with pytest.raises(ParseError, match="u = 0..max"):
+            load_resource_table(path)

@@ -18,7 +18,9 @@ from rainrule import (
     curve_csv,
     fit_poly,
     poly_eval,
+    trajectory,
     wicket_curve,
+    wicket_curves,
 )
 from datetime import date
 
@@ -108,6 +110,45 @@ class TestWicketCurve:
                 format=MatchFormat.ODI,
                 innings_index=1,
             )
+
+
+def reference_wicket_curve(corpus, format, innings_index, w, min_support):
+    """(balls, means, support) for one wicket state, from its own corpus pass."""
+    scheduled = format.scheduled_balls
+    sums = np.zeros(scheduled + 1)
+    count = np.zeros(scheduled + 1, dtype=np.int64)
+    for match in corpus:
+        if match.format is not format:
+            continue
+        for inn in match.innings:
+            if inn.innings_index != innings_index:
+                continue
+            traj = trajectory(inn, format)
+            if traj.completed_balls < scheduled and int(traj.wickets[-1]) != 10:
+                continue
+            mask = traj.wickets == w
+            sums[traj.ball[mask]] += traj.runs[mask]
+            count[traj.ball[mask]] += 1
+    retained = np.nonzero(count[1:] >= min_support)[0] + 1
+    return retained, sums[retained] / count[retained], count[retained]
+
+
+@pytest.mark.parametrize("min_support", [1, 10])
+@pytest.mark.parametrize("innings_index", [1, 2])
+@pytest.mark.parametrize("fmt", list(MatchFormat))
+def test_wicket_curves_match_per_state_reference(demo, fmt, innings_index, min_support):
+    curves = wicket_curves(demo, fmt, innings_index, min_support)
+    assert list(curves) == sorted(curves)
+    for w in range(11):
+        balls, means, support = reference_wicket_curve(demo, fmt, innings_index, w, min_support)
+        if balls.size == 0:
+            assert w not in curves
+            continue
+        curve = curves[w]
+        assert (curve.wickets, curve.format, curve.innings_index) == (w, fmt, innings_index)
+        assert np.array_equal(curve.balls, balls)
+        assert np.array_equal(curve.means, means)
+        assert np.array_equal(curve.support, support)
 
 
 class TestFitPoly:
