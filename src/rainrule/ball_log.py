@@ -14,7 +14,13 @@ Normalization rules applied while building trajectories:
   ODI innings always spans 1..300;
 * runs from wides and no-balls are credited to the next legal ball (or the
   previous one when an innings ends on an illegal delivery);
-* wickets follow the same index placement as the runs of their delivery.
+* wickets follow the same index placement as the runs of their delivery;
+  a batter retired hurt or retired not out is not a wicket.
+
+Each reader has one place that turns a malformed document into a
+:class:`ParseError` naming the position (a JSON path or a CSV line), and the
+record types hold the structural rules, so one bad file is one diagnostic in
+:func:`load_corpus`.
 """
 
 from __future__ import annotations
@@ -270,64 +276,63 @@ def _match_from_json(
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(e.msg, position=f"line {e.lineno} column {e.colno}") from e
+    except RecursionError as e:
+        raise ParseError("document is nested too deeply") from e
 
-    info = doc.get("info")
-    if not isinstance(info, dict):
-        raise ParseError("missing 'info' object", position="$.info")
-
-    fmt = format_hint or _detect_format(info)
-    if fmt is None:
-        raise UnsupportedFormatError(
-            f"unsupported match_type {info.get('match_type')!r} and no format hint"
-        )
-
-    dates = info.get("dates")
-    if not dates:
-        raise ParseError("missing 'info.dates'", position="$.info.dates")
+    # one conversion point: any value of the wrong type or shape, anywhere in
+    # the document, fails this document only, never the batch loading it;
+    # the node being read is a header field, or innings i, over o, delivery b
+    field, i, o, b = "$.info", None, None, None
     try:
-        match_date = date.fromisoformat(str(dates[0]))
-    except ValueError as e:
-        raise ParseError(f"bad date {dates[0]!r}", position="$.info.dates[0]") from e
+        info = doc["info"]
+        fmt = format_hint or _detect_format(info)
+        if fmt is None:
+            raise UnsupportedFormatError(
+                f"unsupported match_type {info.get('match_type')!r} and no format hint"
+            )
+        field = "$.info.dates"
+        match_date = date.fromisoformat(str(info["dates"][0]))
+        field = "$.info.teams"
+        teams = info["teams"]
+        if len(teams) != 2:
+            raise ValueError("expected exactly two teams")
+        teams = (str(teams[0]), str(teams[1]))
+        if match_id is None:
+            slug = "-".join(t.lower().replace(" ", "_") for t in teams)
+            match_id = f"{match_date.isoformat()}-{slug}"
+        venue = str(info.get("venue", ""))
 
-    teams = info.get("teams") or []
-    if len(teams) != 2:
-        raise ParseError("expected exactly two teams", position="$.info.teams")
-    venue = str(info.get("venue", ""))
+        field = "$.innings"
+        raw_innings = doc["innings"]
+        innings: list[InningsRecord] = []
+        dropped = 0
+        for i, entry in enumerate(raw_innings):
+            if i >= 2:
+                dropped += sum(len(ov.get("deliveries", ())) for ov in entry.get("overs", ()))
+                continue
+            deliveries: list[DeliveryEvent] = []
+            for o, over_obj in enumerate(entry.get("overs", ())):
+                b = None
+                over = int(over_obj.get("over", 0))
+                for b, d in enumerate(over_obj.get("deliveries", ())):
+                    deliveries.append(_delivery_from_json(d, over, b + 1))
+            o = None
+            innings.append(InningsRecord(i + 1, str(entry.get("team", "")), deliveries))
+        i = None
+        record = MatchRecord(match_id, fmt, match_date, teams, venue, innings)
+    except (AttributeError, IndexError, KeyError, OverflowError, TypeError, ValueError) as e:
+        if i is not None:
+            field = f"$.innings[{i}]"
+            if o is not None:
+                field += f".overs[{o}]" + ("" if b is None else f".deliveries[{b}]")
+        detail = f"missing key {e}" if isinstance(e, KeyError) else str(e)
+        raise ParseError(f"bad match document: {detail}", position=field) from e
 
-    raw_innings = doc.get("innings")
-    if not isinstance(raw_innings, list) or not raw_innings:
-        raise ParseError("missing or empty 'innings' array", position="$.innings")
-
-    innings: list[InningsRecord] = []
-    dropped = 0
-    for i, entry in enumerate(raw_innings):
-        # a malformed innings (not an object, unordered deliveries, more than
-        # ten wickets) fails this one document, never the batch loading it
-        try:
-            if i < 2:
-                innings.append(_innings_from_json(entry, i + 1))
-            else:
-                dropped += sum(len(o.get("deliveries", ())) for o in entry.get("overs", ()))
-        except (AttributeError, TypeError, ValueError) as e:
-            raise ParseError(f"bad innings: {e}", position=f"$.innings[{i}]") from e
     warns: list[str] = []
     if len(raw_innings) > 2:
         warns.append(
             f"dropped {dropped} deliveries in {len(raw_innings) - 2} innings beyond innings 2"
         )
-
-    if match_id is None:
-        slug = "-".join(t.lower().replace(" ", "_") for t in teams)
-        match_id = f"{match_date.isoformat()}-{slug}"
-
-    record = MatchRecord(
-        match_id=match_id,
-        format=fmt,
-        date=match_date,
-        teams=(str(teams[0]), str(teams[1])),
-        venue=venue,
-        innings=innings,
-    )
     return record, warns
 
 
@@ -344,20 +349,6 @@ def _detect_format(info: dict) -> MatchFormat | None:
     return None
 
 
-def _innings_from_json(entry: dict, index: int) -> InningsRecord:
-    team = str(entry.get("team", ""))
-    deliveries: list[DeliveryEvent] = []
-    for over_obj in entry.get("overs", ()):
-        over = int(over_obj.get("over", 0))
-        for ball_no, d in enumerate(over_obj.get("deliveries", ()), start=1):
-            where = f"$.innings[{index - 1}].overs[over {over}].deliveries[{ball_no - 1}]"
-            try:
-                deliveries.append(_delivery_from_json(d, over, ball_no))
-            except (ValueError, TypeError, KeyError) as e:
-                raise ParseError(f"bad delivery: {e}", position=where) from e
-    return InningsRecord(innings_index=index, batting_team=team, deliveries=tuple(deliveries))
-
-
 # illegal kinds first: they decide legality when several extras co-occur
 _EXTRAS_PRECEDENCE = (
     ("wides", ExtrasKind.WIDE),
@@ -366,6 +357,11 @@ _EXTRAS_PRECEDENCE = (
     ("legbyes", ExtrasKind.LEG_BYE),
     ("penalty", ExtrasKind.PENALTY),
 )
+
+
+# Cricsheet records these batters leaving in the ``wickets`` list, but they
+# are not out; "retired out" is a dismissal and stays one
+_NOT_DISMISSALS = ("retired hurt", "retired not out")
 
 
 def _delivery_from_json(d: dict, over: int, ball_no: int) -> DeliveryEvent:
@@ -384,18 +380,18 @@ def _delivery_from_json(d: dict, over: int, ball_no: int) -> DeliveryEvent:
         batter_runs=batter_runs,
         extras_runs=extras_runs,
         extras_kind=kind,
-        wicket=bool(d.get("wickets")),
+        wicket=any(w.get("kind") not in _NOT_DISMISSALS for w in d.get("wickets") or ()),
         legal=kind not in _ILLEGAL_KINDS,
     )
 
 
-def _parse_bool(token: str, line_no: int) -> bool:
+def _parse_bool(token: str) -> bool:
     t = token.strip().lower()
     if t in ("true", "1"):
         return True
     if t in ("false", "0"):
         return False
-    raise ParseError(f"bad boolean {token!r}", position=f"line {line_no}")
+    raise ValueError(f"bad boolean {token!r}")
 
 
 def _matches_from_csv(
@@ -430,8 +426,8 @@ def _matches_from_csv(
                 batter_runs=int(br_s),
                 extras_runs=int(er_s),
                 extras_kind=ExtrasKind(kind_s.strip()),
-                wicket=_parse_bool(wicket_s, line_no),
-                legal=_parse_bool(legal_s, line_no),
+                wicket=_parse_bool(wicket_s),
+                legal=_parse_bool(legal_s),
             )
         except ValueError as e:
             raise ParseError(f"bad delivery row: {e}", position=f"line {line_no}") from e
@@ -441,8 +437,6 @@ def _matches_from_csv(
     for mid, (fmt, by_index) in by_match.items():
         innings = []
         for idx, deliveries in by_index.items():
-            if idx not in (1, 2):
-                raise ParseError(f"innings index {idx} out of range for match {mid!r}")
             try:
                 innings.append(InningsRecord(idx, "", tuple(deliveries)))
             except ValueError as e:
@@ -481,12 +475,12 @@ def load_corpus(
         if suffix not in (".json", ".csv"):
             continue
         try:
-            raw = path.read_bytes()
+            text = _decode(path.read_bytes())
             if suffix == ".json":
-                record, warns = _parse_match(raw, None, match_id=path.stem)
+                record, warns = _match_from_json(text, None, match_id=path.stem)
                 parsed = [record]
             else:
-                parsed, warns = _matches_from_csv(_decode(raw), None)
+                parsed, warns = _matches_from_csv(text, None)
         except (ParseError, UnsupportedFormatError, OSError) as e:
             diagnostics.append(Diagnostic(path.name, str(e)))
             continue
@@ -561,17 +555,22 @@ def qualifying_trajectories(
 
     Yields, in corpus order, the trajectory of every ``innings_index``
     innings of ``format`` that ran its scheduled length or ended all out.
-    Innings from shortened matches are left out, and so are innings with no
-    deliveries (abandoned), which can never qualify.
+    Left out are innings from shortened matches and every innings
+    :func:`trajectory` rejects: abandoned ones with no deliveries,
+    over-length ones with more legal balls than scheduled, and ones whose
+    run counts overflow 64-bit integers.
     """
     scheduled = format.scheduled_balls
     for match in corpus:
         if match.format is not format:
             continue
         for inn in match.innings:
-            if inn.innings_index != innings_index or not inn.deliveries:
+            if inn.innings_index != innings_index:
                 continue
-            traj = trajectory(inn, format)
+            try:
+                traj = trajectory(inn, format)
+            except (OverflowError, ValueError):
+                continue  # empty, over-length, or runs beyond 64-bit counts
             if traj.completed_balls >= scheduled or int(traj.wickets[-1]) == 10:
                 yield traj
 

@@ -11,6 +11,7 @@ given problem always produces bit-identical results.
 from __future__ import annotations
 
 from collections.abc import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,16 +23,14 @@ _LAMBDA_SHRINK = 10.0
 _LAMBDA_MAX = 1e12
 
 
+@dataclass(frozen=True)
 class FitOutcome:
     """Solution of a damped Gauss-Newton run."""
 
-    __slots__ = ("params", "rss", "iterations", "converged")
-
-    def __init__(self, params: np.ndarray, rss: float, iterations: int, converged: bool):
-        self.params = params
-        self.rss = rss
-        self.iterations = iterations
-        self.converged = converged
+    params: np.ndarray
+    rss: float
+    iterations: int
+    converged: bool
 
 
 def damped_gauss_newton(

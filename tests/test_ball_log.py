@@ -189,6 +189,12 @@ def json_innings(*overs):
     return {"team": "X", "overs": [{"over": o, "deliveries": d} for o, d in overs]}
 
 
+def json_info(**fields):
+    doc = json.loads(fixture_path("tiny_t20i.json").read_text())
+    doc["info"].update(fields)
+    return json.dumps(doc)
+
+
 BAD_FILES = [
     ("not_an_object.json", json_match(json_innings((0, [RUN])), "x"), "$.innings[1]"),
     (
@@ -209,6 +215,11 @@ BAD_FILES = [
         + "".join(f"m1,t20i,1,0,{b},true,0,0,none,true\n" for b in range(1, 12)),
         "innings 1 of match 'm1'",
     ),
+    ("dates_number.json", json_info(dates=5), "$.info.dates"),
+    ("dates_object.json", json_info(dates={"a": 1}), "$.info.dates"),
+    ("teams_number.json", json_info(teams=5), "$.info.teams"),
+    ("event_name_number.json", json_info(event={"name": 5}), "$.info"),
+    ("deeply_nested.json", '{"info": ' + "[" * 100_000 + "]" * 100_000 + "}", "nested"),
 ]
 
 
@@ -221,6 +232,25 @@ def test_one_bad_file_is_one_diagnostic(tmp_path, name, text, position):
     assert [m.match_id for m in corpus] == ["tiny_odi", "tiny_t20i"]
     assert [d.source for d in corpus.diagnostics] == [name]
     assert position in corpus.diagnostics[0].message
+
+
+def retired(*kinds):
+    return {"runs": {"batter": 0, "extras": 0}, "wickets": [{"kind": k} for k in kinds]}
+
+
+def test_retired_batters_are_not_dismissals():
+    ten_and_hurt = json_innings((0, [WICKET] * 6), (1, [WICKET] * 4 + [retired("retired hurt")]))
+    rec = parse_match(json_match(ten_and_hurt))
+    assert sum(d.wicket for d in rec.innings[0].deliveries) == 10
+
+    kinds = [
+        ("retired hurt",),
+        ("retired not out",),
+        ("retired out",),
+        ("retired hurt", "run out"),
+    ]
+    rec = parse_match(json_match(json_innings((0, [retired(*k) for k in kinds]))))
+    assert [d.wicket for d in rec.innings[0].deliveries] == [False, False, True, True]
 
 
 # ---------------------------------------------------------------------------

@@ -145,17 +145,37 @@ class TestCurves:
         assert "no wicket state" in captured.err
 
 
-@pytest.mark.parametrize("index", [1, 2])
-def test_abandoned_innings_is_left_out(tmp_path, capsys, index):
-    # a match whose innings ``index`` has no deliveries, next to the same
-    # corpus with that innings removed (with the match, if it was the only one)
+def abandon(innings_doc):
+    innings_doc["overs"] = []
+
+
+def bowl_extra_over(innings_doc):
+    ball = {"runs": {"batter": 1, "extras": 0, "total": 1}}
+    last = innings_doc["overs"][-1]["over"]
+    innings_doc["overs"].append({"over": last + 1, "deliveries": [ball] * 6})
+
+
+@pytest.mark.parametrize(
+    "index, spoil",
+    [
+        pytest.param(1, abandon, id="1"),
+        pytest.param(2, abandon, id="2"),
+        pytest.param(1, bowl_extra_over, id="over_length-1"),
+        pytest.param(2, bowl_extra_over, id="over_length-2"),
+    ],
+)
+def test_abandoned_innings_is_left_out(tmp_path, capsys, index, spoil):
+    # a match whose innings ``index`` has no deliveries, or one over more than
+    # scheduled, next to the same corpus with that innings removed (with the
+    # match, if it was the only one)
     matches = synthetic_corpus(MatchFormat.ODI, 12, seed=3)
     with_empty, without = tmp_path / "with_empty", tmp_path / "without"
     write_corpus(matches, with_empty)
     write_corpus(matches, without)
     doc = match_to_json(matches[0])
+    assert len(doc["innings"][index - 1]["overs"]) == MatchFormat.ODI.scheduled_overs
     doc["innings"] = doc["innings"][:index]
-    doc["innings"][-1]["overs"] = []
+    spoil(doc["innings"][-1])
     write_json(with_empty / "abandoned.json", doc)
     if index == 2:
         doc["innings"] = doc["innings"][:1]

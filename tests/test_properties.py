@@ -1,0 +1,162 @@
+"""Property tests: no input makes a reader or a command fail outside its contract.
+
+* ``parse_match`` returns a ``MatchRecord`` or raises a ``RainRuleError``;
+* ``load_corpus`` turns one malformed file into at most one diagnostic and
+  still returns every good match;
+* ``ingest`` and ``curves`` exit with 0, 2, 3 or 4, never with a traceback.
+
+The malformed documents are ``tiny_odi.json`` with one node, at any depth,
+replaced by an arbitrary JSON value.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import copy
+import io
+import json
+
+import pytest
+
+pytest.importorskip("hypothesis")
+
+from hypothesis import example, given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from rainrule import (  # noqa: E402
+    CSV_HEADER,
+    MatchRecord,
+    RainRuleError,
+    load_corpus,
+    parse_match,
+)
+from rainrule.cli import main  # noqa: E402
+from rainrule.fixtures import fixture_path  # noqa: E402
+
+GOOD_FILES = ("tiny_t20i.json", "tiny_ipl.json")
+TINY_ODI = json.loads(fixture_path("tiny_odi.json").read_text())
+
+
+def _node_paths(node, prefix=()):
+    yield prefix
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        children = ()
+    for key, child in children:
+        yield from _node_paths(child, prefix + (key,))
+
+
+# every node but the root, grouped by its path with list indices wildcarded,
+# so that the few header fields are drawn as often as the many delivery fields
+NODE_GROUPS: dict[tuple, list[tuple]] = {}
+for _path in list(_node_paths(TINY_ODI))[1:]:
+    _shape = tuple("*" if isinstance(key, int) else key for key in _path)
+    NODE_GROUPS.setdefault(_shape, []).append(_path)
+
+# keys the reader looks up, so that replaced objects sometimes half-match
+KEYS = st.sampled_from(
+    ["info", "dates", "teams", "event", "name", "innings", "overs", "over",
+     "deliveries", "runs", "batter", "extras", "wides", "wickets", "kind"]
+) | st.text(max_size=6)
+
+# integers past 64 bits get their own branch: run counts end up in numpy's
+# fixed-width arrays, and unbounded draws rarely go that far
+SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=2**63)
+    | st.floats()
+    | st.text(max_size=12)
+)
+JSON_VALUES = st.recursive(
+    SCALARS,
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(KEYS, children, max_size=3),
+    max_leaves=8,
+)
+
+
+def mutated(path: tuple, value) -> str:
+    doc = copy.deepcopy(TINY_ODI)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return json.dumps(doc)
+
+
+@st.composite
+def mutated_documents(draw) -> str:
+    path = draw(st.sampled_from(list(NODE_GROUPS.values())).flatmap(st.sampled_from))
+    return mutated(path, draw(JSON_VALUES))
+
+
+def assert_parses_or_raises_rainrule_error(data) -> None:
+    try:
+        record = parse_match(data)
+    except RainRuleError:
+        return
+    assert isinstance(record, MatchRecord)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(
+    st.binary()
+    | st.text()
+    | st.text().map(lambda t: "{" + t)
+    | st.text().map(lambda t: CSV_HEADER + "\n" + t)
+)
+def test_any_bytes_or_text_parse_or_raise_rainrule_error(data):
+    assert_parses_or_raises_rainrule_error(data)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(mutated_documents())
+def test_any_mutated_document_parses_or_raises_rainrule_error(text):
+    assert_parses_or_raises_rainrule_error(text)
+
+
+@pytest.fixture(scope="module")
+def corpus_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("mutated_corpus")
+    for name in GOOD_FILES:
+        (root / name).write_bytes(fixture_path(name).read_bytes())
+    return root
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(text=mutated_documents())
+def test_one_mutated_file_is_at_most_one_diagnostic(corpus_dir, text):
+    (corpus_dir / "mutant.json").write_text(text, encoding="utf-8")
+    corpus = load_corpus(corpus_dir)
+    ids = {m.match_id for m in corpus}
+    assert {"tiny_ipl", "tiny_t20i"} <= ids <= {"tiny_ipl", "tiny_t20i", "mutant"}
+    assert [d.source for d in corpus.diagnostics] in ([], ["mutant.json"])
+
+
+COMMANDS = [
+    ["ingest"],
+    ["curves", "--min-support", "1"],
+    ["curves", "--format", "t20i", "--innings", "2", "--min-support", "1"],
+]
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(text=mutated_documents(), command=st.sampled_from(COMMANDS))
+@example(  # loads, but the run counts overflow the trajectory's int64 arrays
+    text=mutated(("innings", 0, "overs", 0, "deliveries", 0, "runs", "batter"), 2**64),
+    command=COMMANDS[1],
+)
+def test_commands_exit_with_a_documented_code(corpus_dir, text, command):
+    (corpus_dir / "mutant.json").write_text(text, encoding="utf-8")
+    out = corpus_dir.parent / f"{corpus_dir.name}_out"
+    argv = command + ["--data-dir", str(corpus_dir)]
+    if command[0] == "curves":
+        argv += ["--out", str(out)]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    assert code in (0, 2, 3, 4)
