@@ -35,7 +35,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ParseError, UnsupportedFormatError
+from .errors import DataError, ParseError, UnsupportedFormatError
 
 __all__ = [
     "MatchFormat",
@@ -50,6 +50,7 @@ __all__ = [
     "parse_match",
     "load_corpus",
     "trajectory",
+    "innings_trajectories",
     "qualifying_trajectories",
     "export_csv",
     "CSV_HEADER",
@@ -98,6 +99,10 @@ class ExtrasKind(Enum):
 
 _ILLEGAL_KINDS = (ExtrasKind.WIDE, ExtrasKind.NO_BALL)
 
+# far above any real delivery: it keeps every innings sum exact in int64 and
+# float64, and a totals histogram in proportion to the input
+_MAX_DELIVERY_RUNS = 100
+
 
 @dataclass(frozen=True)
 class DeliveryEvent:
@@ -121,6 +126,8 @@ class DeliveryEvent:
             raise ValueError("over must be >= 0 and ball_in_over >= 1")
         if self.batter_runs < 0 or self.extras_runs < 0:
             raise ValueError("negative runs")
+        if self.batter_runs > _MAX_DELIVERY_RUNS or self.extras_runs > _MAX_DELIVERY_RUNS:
+            raise ValueError(f"more than {_MAX_DELIVERY_RUNS} runs from one delivery")
         if self.legal == (self.extras_kind in _ILLEGAL_KINDS):
             raise ValueError("legal flag inconsistent with extras kind")
         if self.extras_kind in _ILLEGAL_KINDS and self.extras_runs < 1:
@@ -234,30 +241,22 @@ def parse_match(
     document holds more than two innings (super overs), the extra deliveries
     are dropped and a :class:`ParseWarning` reports how many.
     """
-    record, warns = _parse_match(data, format_hint, match_id)
-    for message in warns:
-        warnings.warn(message, ParseWarning, stacklevel=2)
-    return record
-
-
-def _parse_match(
-    data: bytes | str,
-    format_hint: MatchFormat | None,
-    match_id: str | None,
-) -> tuple[MatchRecord, list[str]]:
-    """Pure parsing core: returns the record and warning messages."""
     text = _decode(data)
     head = text.lstrip()
     if head.startswith("{"):
-        return _match_from_json(text, format_hint, match_id)
-    if head.startswith("match_id"):
+        record, warns = _match_from_json(text, format_hint, match_id)
+    elif head.startswith("match_id"):
         records, warns = _matches_from_csv(text, format_hint)
         if len(records) != 1:
             raise ParseError(
                 f"expected exactly one match in CSV document, found {len(records)}"
             )
-        return records[0], warns
-    raise ParseError("unrecognised document: expected Cricsheet JSON or CSV ball log")
+        record = records[0]
+    else:
+        raise ParseError("unrecognised document: expected Cricsheet JSON or CSV ball log")
+    for message in warns:
+        warnings.warn(message, ParseWarning, stacklevel=2)
+    return record
 
 
 def _decode(data: bytes | str) -> str:
@@ -548,31 +547,37 @@ def trajectory(innings: InningsRecord, format: MatchFormat) -> InningsTrajectory
     )
 
 
+def innings_trajectories(
+    corpus: Iterable[MatchRecord], format: MatchFormat, innings_index: int
+) -> Iterator[InningsTrajectory]:
+    """Trajectory of every ``innings_index`` innings of ``format``, in corpus order.
+
+    The one innings selection behind every corpus statistic.  Innings that
+    :func:`trajectory` rejects are left out: abandoned ones with no
+    deliveries and over-length ones with more legal balls than scheduled.
+    """
+    for match in corpus:
+        if match.format is format:
+            for inn in match.innings:
+                if inn.innings_index == innings_index:
+                    try:
+                        traj = trajectory(inn, format)
+                    except ValueError:
+                        continue  # abandoned or over-length
+                    yield traj
+
+
 def qualifying_trajectories(
     corpus: Iterable[MatchRecord], format: MatchFormat, innings_index: int
 ) -> Iterator[InningsTrajectory]:
-    """Trajectories of the innings that curves and resource grids use.
+    """The :func:`innings_trajectories` that ran full length or ended all out.
 
-    Yields, in corpus order, the trajectory of every ``innings_index``
-    innings of ``format`` that ran its scheduled length or ended all out.
-    Left out are innings from shortened matches and every innings
-    :func:`trajectory` rejects: abandoned ones with no deliveries,
-    over-length ones with more legal balls than scheduled, and ones whose
-    run counts overflow 64-bit integers.
+    Curves and resource grids use these; innings of shortened matches are left out.
     """
     scheduled = format.scheduled_balls
-    for match in corpus:
-        if match.format is not format:
-            continue
-        for inn in match.innings:
-            if inn.innings_index != innings_index:
-                continue
-            try:
-                traj = trajectory(inn, format)
-            except (OverflowError, ValueError):
-                continue  # empty, over-length, or runs beyond 64-bit counts
-            if traj.completed_balls >= scheduled or int(traj.wickets[-1]) == 10:
-                yield traj
+    for traj in innings_trajectories(corpus, format, innings_index):
+        if traj.completed_balls >= scheduled or int(traj.wickets[-1]) == 10:
+            yield traj
 
 
 # ---------------------------------------------------------------------------
@@ -602,6 +607,9 @@ def export_csv(matches: Iterable[MatchRecord], destination: str | Path) -> int:
     """Write matches as the canonical CSV ball log; returns the row count."""
     lines = [CSV_HEADER]
     for match in matches:
+        mid = match.match_id
+        if "," in mid or "".join(mid.splitlines()) != mid:  # would split on reading
+            raise DataError(f"match id {mid!r} cannot be written to a CSV ball log")
         lines.extend(_csv_rows(match))
     payload = "\n".join(lines) + "\n"
     Path(destination).write_text(payload, encoding="utf-8", newline="\n")

@@ -9,8 +9,8 @@ Subcommands:
 * ``compare`` - area-ratio revision next to exponential-model resource percentages
 
 All outputs are plain CSV / JSON and deterministic: the same corpus bytes and
-flags produce byte-identical files.  Exit codes: 0 success, 2 data errors,
-3 scenario errors, 4 fit errors.
+flags produce byte-identical files.  Exit codes: 0 success, 2 data or output
+errors, 3 scenario errors, 4 fit errors.
 """
 
 from __future__ import annotations
@@ -221,20 +221,22 @@ def _load_poly_fit(path: Path, wickets: int) -> PolyFit:
     return _poly_from_summary(doc, str(path))
 
 
-def cmd_target(args: argparse.Namespace) -> int:
+def _revise(args: argparse.Namespace) -> tuple:
+    """(scenario document, scenario, revision); nothing left to chase exits 3."""
     doc = _read_json(args.scenario)
     scenario = target_engine.scenario_from_json(doc)
     fit = _load_poly_fit(args.fits, scenario.wickets_at_stoppage)
-
     revision = target_engine.revise_target(fit, scenario)
     if revision.ratio <= 0.0:
         print(json.dumps({"ratio": 0.0}, indent=2, sort_keys=True))
-        print(
-            "error: nothing to chase: every scheduled ball falls inside the "
-            "lost interval",
-            file=sys.stderr,
+        raise InvalidScenarioError(
+            "nothing to chase: every scheduled ball falls inside the lost interval"
         )
-        return EXIT_SCENARIO
+    return doc, scenario, revision
+
+
+def cmd_target(args: argparse.Namespace) -> int:
+    _, _, revision = _revise(args)
     payload = target_engine.revision_to_json(revision)
     print(json.dumps(payload, indent=2, sort_keys=True))
     if args.out:
@@ -257,10 +259,7 @@ def _scenario_format(doc: dict, args: argparse.Namespace, scenario) -> MatchForm
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    doc = _read_json(args.scenario)
-    scenario = target_engine.scenario_from_json(doc)
-    fit = _load_poly_fit(args.fits, scenario.wickets_at_stoppage)
-    revision = target_engine.revise_target(fit, scenario)
+    doc, scenario, revision = _revise(args)
     payload: dict = {"area_ratio": target_engine.revision_to_json(revision)}
 
     fmt = _scenario_format(doc, args, scenario)
@@ -418,15 +417,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ScenarioError as e:
+    except (ScenarioError, DataError, FitError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
-        return EXIT_SCENARIO
-    except (DataError, NotADirectoryError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_DATA
-    except FitError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_FIT
+        if isinstance(e, ScenarioError):
+            return EXIT_SCENARIO
+        return EXIT_FIT if isinstance(e, FitError) else EXIT_DATA
 
 
 if __name__ == "__main__":

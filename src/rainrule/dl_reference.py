@@ -20,7 +20,7 @@ import numpy as np
 from .ball_log import MatchFormat, MatchRecord, qualifying_trajectories
 from .errors import DegenerateFitError, IncompleteFamilyError, InsufficientDataError, ParseError
 from .leastsq import damped_gauss_newton
-from .run_curves import DEFAULT_MIN_SUPPORT
+from .run_curves import DEFAULT_MIN_SUPPORT, cell_means
 
 __all__ = [
     "DLCurve",
@@ -36,6 +36,7 @@ __all__ = [
 
 _Z0_FLOOR = 1e-9
 _DECAY_FLOOR = 1e-12
+_MIN_POINTS = 3  # supported cells a wicket state needs before its curve is fitted
 
 
 @dataclass(frozen=True)
@@ -95,36 +96,24 @@ def remaining_run_means(
 ) -> dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Average remaining runs by (wickets down, overs remaining).
 
-    Walks every full-length or all-out first innings of the given format
-    and, at each whole-over mark with u >= 1 overs remaining, records the
-    runs scored from that point to the end of the innings under the wicket
-    count at the mark.  Returns, per wicket state w = 0..9 that has at
-    least one supported cell, ascending arrays (u, mean, count) keeping
-    only cells with count >= min_support.
+    Walks every first innings :func:`qualifying_trajectories` yields (full
+    length or all out) and, at each whole-over mark with u >= 1 overs
+    remaining, records the runs scored from that point to the end of the
+    innings under the wicket count at the mark.  Returns, per wicket state
+    w = 0..9 that has at least one supported cell, ascending arrays
+    (u, mean, count) keeping only cells with count >= min_support.
     """
-    scheduled = format.scheduled_balls
     max_overs = format.scheduled_overs
-    sums = np.zeros((10, max_overs + 1))
-    counts = np.zeros((10, max_overs + 1), dtype=int)
+    cells = []
     for traj in qualifying_trajectories(corpus, format, 1):
-        last_mark = min(traj.completed_balls, scheduled - 6)
-        marks = np.arange(0, last_mark + 1, 6)
-        overs_left = max_overs - marks // 6
+        marks = np.arange(0, min(traj.completed_balls, format.scheduled_balls - 6) + 1, 6)
         at = np.maximum(marks - 1, 0)
         runs_at = np.where(marks == 0, 0, traj.runs[at])
         wkts_at = np.where(marks == 0, 0, traj.wickets[at])
         keep = wkts_at <= 9
-        np.add.at(sums, (wkts_at[keep], overs_left[keep]), traj.total - runs_at[keep])
-        np.add.at(counts, (wkts_at[keep], overs_left[keep]), 1)
-    points: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-    for w in range(10):
-        retained = np.flatnonzero(counts[w] >= max(min_support, 1))
-        if retained.size == 0:
-            continue
-        u = retained.astype(float)
-        means = sums[w, retained] / counts[w, retained]
-        points[w] = (u, means, counts[w, retained].copy())
-    return points
+        cells.append((wkts_at[keep], max_overs - marks[keep] // 6, traj.total - runs_at[keep]))
+    grid = cell_means(cells, (10, max_overs + 1), min_support)
+    return {w: (u.astype(float), means, counts) for w, (u, means, counts) in grid.items()}
 
 
 def fit_dl_curve(u, means, w: int) -> DLCurve:
@@ -182,11 +171,10 @@ def fit_dl_family(
     format: MatchFormat,
     *,
     min_support: int = DEFAULT_MIN_SUPPORT,
-    min_points: int = 3,
 ) -> DLFamily:
     """Fit the w = 0..9 curve family from first-innings remaining runs.
 
-    Wicket states with fewer than min_points supported cells are omitted
+    Wicket states with fewer than three supported cells are omitted
     and reported in the family's ``omitted`` tuple.  Fitted z0 values are
     forced non-increasing in w by pooling adjacent violators; the family's
     ``adjusted`` flag records whether that changed anything.
@@ -195,7 +183,7 @@ def fit_dl_family(
     fitted: list[DLCurve] = []
     omitted: list[int] = []
     for w in range(10):
-        if w not in points or points[w][0].size < max(min_points, 2):
+        if w not in points or points[w][0].size < _MIN_POINTS:
             omitted.append(w)
             continue
         u, means, _ = points[w]

@@ -154,12 +154,11 @@ def synthetic_corpus(
     n_matches: int,
     *,
     seed: int = DEFAULT_SEED,
-    start: date = date(2019, 1, 5),
 ) -> list[MatchRecord]:
     """Generate a deterministic corpus of full two-innings matches.
 
     The same (format, n_matches, seed) always yields byte-identical matches;
-    match dates advance two days per match from ``start``.
+    match dates advance two days per match from 2019-01-05.
     """
     rng = np.random.default_rng([seed, _FORMAT_STREAM[format]])
     matches = []
@@ -172,7 +171,7 @@ def synthetic_corpus(
             MatchRecord(
                 match_id=f"{format.value}-{i:04d}",
                 format=format,
-                date=start + timedelta(days=2 * i),
+                date=date(2019, 1, 5) + timedelta(days=2 * i),
                 teams=(home, away),
                 venue=_VENUES[i % len(_VENUES)],
                 innings=(

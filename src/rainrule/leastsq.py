@@ -21,6 +21,8 @@ _LAMBDA_START = 1e-3
 _LAMBDA_GROW = 10.0
 _LAMBDA_SHRINK = 10.0
 _LAMBDA_MAX = 1e12
+_REL_TOL = 1e-10
+_MAX_ITER = 500
 
 
 @dataclass(frozen=True)
@@ -38,24 +40,22 @@ def damped_gauss_newton(
     jacobian: Callable[[np.ndarray], np.ndarray],
     p0: np.ndarray,
     *,
-    rel_tol: float = 1e-10,
-    max_iter: int = 500,
-    accept: Callable[[np.ndarray], bool] | None = None,
+    accept: Callable[[np.ndarray], bool],
 ) -> FitOutcome:
     """Minimise ``sum(residuals(p)**2)`` starting from ``p0``.
 
-    ``accept`` may veto candidate parameter vectors (e.g. to keep a scale
+    ``accept`` vetoes candidate parameter vectors (e.g. to keep a scale
     parameter positive); a vetoed step is treated like an increase in RSS,
     so the damping grows and a shorter step is tried.  Convergence is
     declared when the relative RSS change of an accepted step falls below
-    ``rel_tol``.
+    1e-10; the run stops unconverged after 500 iterations.
     """
     p = np.asarray(p0, dtype=float).copy()
     r = residuals(p)
     rss = float(r @ r)
     lam = _LAMBDA_START
 
-    for iteration in range(1, max_iter + 1):
+    for iteration in range(1, _MAX_ITER + 1):
         jac = jacobian(p)
         normal = jac.T @ jac
         gradient = jac.T @ r
@@ -69,7 +69,7 @@ def damped_gauss_newton(
             continue
 
         candidate = p + step
-        if accept is not None and not accept(candidate):
+        if not accept(candidate):
             lam = min(lam * _LAMBDA_GROW, _LAMBDA_MAX)
             if lam >= _LAMBDA_MAX:
                 return FitOutcome(p, rss, iteration, False)
@@ -81,7 +81,7 @@ def damped_gauss_newton(
             change = rss - rss_new
             p, r, rss = candidate, r_new, rss_new
             lam = lam / _LAMBDA_SHRINK
-            if change <= rel_tol * max(rss, np.finfo(float).tiny):
+            if change <= _REL_TOL * max(rss, np.finfo(float).tiny):
                 return FitOutcome(p, rss, iteration, True)
         else:
             lam = min(lam * _LAMBDA_GROW, _LAMBDA_MAX)
@@ -89,4 +89,4 @@ def damped_gauss_newton(
                 # no downhill step exists at any damping: local optimum
                 return FitOutcome(p, rss, iteration, True)
 
-    return FitOutcome(p, rss, max_iter, False)
+    return FitOutcome(p, rss, _MAX_ITER, False)

@@ -13,7 +13,7 @@ curve is pinned to the origin by construction.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +24,7 @@ from .errors import EmptyCurveError, SingularFitError
 __all__ = [
     "WicketCurve",
     "PolyFit",
+    "cell_means",
     "wicket_curve",
     "wicket_curves",
     "state_curve",
@@ -96,6 +97,34 @@ def _support_floor(min_support: int) -> int:
     return max(int(min_support), 1)  # a retained mean needs one innings behind it
 
 
+def cell_means(
+    cells: Sequence[tuple[np.ndarray, np.ndarray, np.ndarray]],
+    shape: tuple[int, int],
+    min_support: int,
+) -> dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Mean value of each (row, column) cell of a grid of ``shape``.
+
+    ``cells`` holds integer (rows, columns, values) arrays, one triple per
+    innings.  Cells counted fewer than ``min_support`` times are dropped, and
+    each row that keeps a cell maps to its ascending (columns, means, counts).
+    """
+    # the empty seed keeps concatenate valid when no triple is given
+    rows, cols, values = (
+        np.concatenate([np.zeros(0, dtype=np.int64)] + [t[k] for t in cells]) for k in range(3)
+    )
+    flat, size = rows * shape[1] + cols, shape[0] * shape[1]
+    # values are integers, so the float64 sums are exact in any order
+    sums = np.bincount(flat, weights=values, minlength=size).reshape(shape)
+    counts = np.bincount(flat, minlength=size).reshape(shape)
+    floor = _support_floor(min_support)
+    means = {}
+    for row in range(shape[0]):
+        kept = np.flatnonzero(counts[row] >= floor)
+        if kept.size:
+            means[row] = (kept, sums[row, kept] / counts[row, kept], counts[row, kept])
+    return means
+
+
 def wicket_curves(
     corpus: Iterable[MatchRecord],
     format: MatchFormat,
@@ -109,31 +138,13 @@ def wicket_curves(
     ``min_support`` innings are omitted, and a state with no retained ball
     is absent from the result.
     """
-    min_support = _support_floor(min_support)
-    width = format.scheduled_balls + 1
-    # the empty seeds keep concatenate valid when no innings qualifies
-    cells, runs = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
-    for traj in qualifying_trajectories(corpus, format, innings_index):
-        cells.append(traj.wickets * width + traj.ball)
-        runs.append(traj.runs)
-    flat = np.concatenate(cells)
-    # runs are integers, so the float64 sums are exact in any order
-    sums = np.bincount(flat, weights=np.concatenate(runs), minlength=11 * width).reshape(11, width)
-    count = np.bincount(flat, minlength=11 * width).reshape(11, width)
-
-    curves: dict[int, WicketCurve] = {}
-    for w in range(11):
-        retained = np.flatnonzero(count[w, 1:] >= min_support) + 1
-        if retained.size:
-            curves[w] = WicketCurve(
-                wickets=w,
-                balls=retained,
-                means=sums[w, retained] / count[w, retained],
-                support=count[w, retained],
-                format=format,
-                innings_index=innings_index,
-            )
-    return curves
+    trajectories = qualifying_trajectories(corpus, format, innings_index)
+    cells = [(t.wickets, t.ball, t.runs) for t in trajectories]
+    grid = cell_means(cells, (11, format.scheduled_balls + 1), min_support)
+    return {
+        w: WicketCurve(w, balls, means, support, format, innings_index)
+        for w, (balls, means, support) in grid.items()
+    }
 
 
 def state_curve(curves: dict[int, WicketCurve], w: int, min_support: int) -> WicketCurve:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ball_log import InningsRecord, MatchFormat, MatchRecord
+from .ball_log import MatchFormat, MatchRecord, innings_trajectories
 from .errors import DegenerateFitError, EmptySelectionError, InsufficientDataError
 from .leastsq import damped_gauss_newton
 
@@ -65,23 +65,17 @@ class NormalFit:
 def totals(
     corpus: Iterable[MatchRecord], format: MatchFormat, innings_index: int
 ) -> list[int]:
-    """Total runs of every matching innings, in corpus order."""
-    out: list[int] = []
-    for match in corpus:
-        if match.format is not format:
-            continue
-        for inn in match.innings:
-            if inn.innings_index == innings_index:
-                out.append(_innings_total(inn))
+    """Total runs of every innings :func:`innings_trajectories` yields, in corpus order.
+
+    Innings from shortened matches count, as their totals are real; abandoned
+    and over-length innings are left out, as they are from the curves.
+    """
+    out = [t.total for t in innings_trajectories(corpus, format, innings_index)]
     if not out:
         raise EmptySelectionError(
             f"no innings {innings_index} for format {format.value}"
         )
     return out
-
-
-def _innings_total(innings: InningsRecord) -> int:
-    return sum(d.total_runs for d in innings.deliveries)
 
 
 def build_histogram(values: Sequence[int], bin_width: float) -> Histogram:

@@ -19,6 +19,7 @@ from rainrule import (
     ParseWarning,
     UnsupportedFormatError,
     export_csv,
+    innings_trajectories,
     load_corpus,
     parse_match,
     qualifying_trajectories,
@@ -220,6 +221,16 @@ BAD_FILES = [
     ("teams_number.json", json_info(teams=5), "$.info.teams"),
     ("event_name_number.json", json_info(event={"name": 5}), "$.info"),
     ("deeply_nested.json", '{"info": ' + "[" * 100_000 + "]" * 100_000 + "}", "nested"),
+    (
+        "runaway_batter_runs.json",
+        json_match(json_innings((0, [{"runs": {"batter": 10**10, "extras": 0}}]))),
+        "$.innings[0].overs[0].deliveries[0]",
+    ),
+    (
+        "runaway_extras_runs.csv",
+        CSV_HEADER + "\nm1,t20i,1,0,1,true,0,10000000000,bye,false\n",
+        "line 2",
+    ),
 ]
 
 
@@ -353,9 +364,12 @@ def test_qualifying_trajectories_keep_full_and_all_out_innings():
         match("short", MatchFormat.T20I, 1, balls(30)),
         match("all_out", MatchFormat.T20I, 1, balls(12, wickets=range(2, 12))),
         match("abandoned", MatchFormat.T20I, 1, []),
+        match("over_length", MatchFormat.T20I, 1, balls(126)),
         match("second", MatchFormat.T20I, 2, balls(120)),
         match("ipl", MatchFormat.IPL, 1, balls(120)),
     ]
+    readable = list(innings_trajectories(corpus, MatchFormat.T20I, 1))
+    assert [(t.completed_balls, t.total) for t in readable] == [(120, 120), (30, 30), (12, 12)]
     kept = list(qualifying_trajectories(corpus, MatchFormat.T20I, 1))
     assert [(t.completed_balls, t.total) for t in kept] == [(120, 120), (12, 12)]
 

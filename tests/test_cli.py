@@ -11,6 +11,7 @@ from rainrule.ball_log import CSV_HEADER
 from rainrule.cli import main
 from rainrule.fixtures import (
     exponential_profile_corpus,
+    fixture_path,
     match_to_json,
     synthetic_corpus,
     write_corpus,
@@ -185,7 +186,9 @@ def test_abandoned_innings_is_left_out(tmp_path, capsys, index, spoil):
     fits = write_json(tmp_path / "fits.json", WORKED_FITS)
     for root in (with_empty, without):
         out = tmp_path / f"out_{root.name}"
-        flags = ["--data-dir", str(root), "--min-support", "2", "--out", str(out)]
+        corpus = ["--data-dir", str(root), "--out", str(out)]
+        flags = corpus + ["--min-support", "2"]
+        assert main(["stats"] + corpus) == 0
         assert main(["curves", "--innings", str(index)] + flags) == 0
         assert main(["compare", "--scenario", str(scenario), "--fits", str(fits)] + flags) == 0
     capsys.readouterr()
@@ -226,11 +229,12 @@ class TestTarget:
         assert main(["target", "--scenario", str(scenario), "--fits", str(fits)]) == 0
         assert json.loads(capsys.readouterr().out)["revised_total"] == 275
 
-    def test_nothing_to_chase(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command", ["target", "compare"])
+    def test_nothing_to_chase(self, tmp_path, capsys, command):
         doc = dict(WORKED_SCENARIO, n=0, m=300)
         scenario = write_json(tmp_path / "scenario.json", doc)
         fits = write_json(tmp_path / "fits.json", WORKED_FITS)
-        code = main(["target", "--scenario", str(scenario), "--fits", str(fits)])
+        code = main([command, "--scenario", str(scenario), "--fits", str(fits)])
         captured = capsys.readouterr()
         assert code == 3
         assert json.loads(captured.out)["ratio"] == 0.0
@@ -320,6 +324,40 @@ class TestCompare:
         )
         assert code == 2
         assert "header" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "fault",
+    ["stats_out_is_a_file", "export_into_missing_dir", "target_out_is_a_file", "comma_in_match_id"],
+)
+def test_output_faults_exit_2(data_dir, tmp_path, capsys, fault):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    scenario = write_json(tmp_path / "scenario.json", WORKED_SCENARIO)
+    fits = write_json(tmp_path / "fits.json", WORKED_FITS)
+    comma_dir = tmp_path / "comma"
+    comma_dir.mkdir()
+    (comma_dir / "a,b.json").write_bytes(fixture_path("tiny_odi.json").read_bytes())
+    argv = {
+        "stats_out_is_a_file": ["stats", "--data-dir", str(data_dir), "--out", str(taken)],
+        "export_into_missing_dir": [
+            "ingest", "--data-dir", str(data_dir),
+            "--export-csv", str(tmp_path / "missing" / "log.csv"),
+        ],
+        "target_out_is_a_file": [
+            "target", "--scenario", str(scenario), "--fits", str(fits), "--out", str(taken),
+        ],
+        "comma_in_match_id": [
+            "ingest", "--data-dir", str(comma_dir), "--export-csv", str(tmp_path / "log.csv"),
+        ],
+    }[fault]
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "error: " in err
+    if fault == "comma_in_match_id":
+        assert "'a,b'" in err
+        assert not (tmp_path / "log.csv").exists()
 
 
 class TestArgumentValidation:
