@@ -230,23 +230,18 @@ class Corpus(Sequence):
 # parsing
 
 
-def parse_match(
-    data: bytes | str,
-    format_hint: MatchFormat | None = None,
-    match_id: str | None = None,
-) -> MatchRecord:
+def parse_match(data: bytes | str, match_id: str | None = None) -> MatchRecord:
     """Parse one match document (Cricsheet JSON or single-match CSV).
 
-    ``format_hint`` overrides the format recorded in the document.  When the
-    document holds more than two innings (super overs), the extra deliveries
-    are dropped and a :class:`ParseWarning` reports how many.
+    When the document holds more than two innings (super overs), the extra
+    deliveries are dropped and a :class:`ParseWarning` reports how many.
     """
     text = _decode(data)
     head = text.lstrip()
     if head.startswith("{"):
-        record, warns = _match_from_json(text, format_hint, match_id)
+        record, warns = _match_from_json(text, match_id)
     elif head.startswith("match_id"):
-        records, warns = _matches_from_csv(text, format_hint)
+        records, warns = _matches_from_csv(text)
         if len(records) != 1:
             raise ParseError(
                 f"expected exactly one match in CSV document, found {len(records)}"
@@ -268,15 +263,15 @@ def _decode(data: bytes | str) -> str:
         raise ParseError("document is not valid UTF-8", position=f"byte {e.start}") from e
 
 
-def _match_from_json(
-    text: str, format_hint: MatchFormat | None, match_id: str | None
-) -> tuple[MatchRecord, list[str]]:
+def _match_from_json(text: str, match_id: str | None) -> tuple[MatchRecord, list[str]]:
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(e.msg, position=f"line {e.lineno} column {e.colno}") from e
     except RecursionError as e:
         raise ParseError("document is nested too deeply") from e
+    except ValueError as e:  # an integer of more than 4300 digits
+        raise ParseError(str(e)) from e
 
     # one conversion point: any value of the wrong type or shape, anywhere in
     # the document, fails this document only, never the batch loading it;
@@ -284,11 +279,7 @@ def _match_from_json(
     field, i, o, b = "$.info", None, None, None
     try:
         info = doc["info"]
-        fmt = format_hint or _detect_format(info)
-        if fmt is None:
-            raise UnsupportedFormatError(
-                f"unsupported match_type {info.get('match_type')!r} and no format hint"
-            )
+        fmt = _detect_format(info)
         field = "$.info.dates"
         match_date = date.fromisoformat(str(info["dates"][0]))
         field = "$.info.teams"
@@ -335,8 +326,11 @@ def _match_from_json(
     return record, warns
 
 
-def _detect_format(info: dict) -> MatchFormat | None:
+def _detect_format(info: dict) -> MatchFormat:
+    # women's and club T20 matches would mix a second scoring population into the fits
     match_type = info.get("match_type")
+    if info.get("gender") == "female":
+        raise UnsupportedFormatError("women's matches are not supported")
     if match_type == "ODI":
         return MatchFormat.ODI
     if match_type in ("T20", "IT20"):
@@ -344,8 +338,10 @@ def _detect_format(info: dict) -> MatchFormat | None:
         name = event.get("name", "") if isinstance(event, dict) else str(event or "")
         if "Indian Premier League" in name:
             return MatchFormat.IPL
+        if info.get("team_type") == "club":
+            raise UnsupportedFormatError(f"club T20 outside the IPL is not supported: {name!r}")
         return MatchFormat.T20I
-    return None
+    raise UnsupportedFormatError(f"unsupported match_type {match_type!r}")
 
 
 # illegal kinds first: they decide legality when several extras co-occur
@@ -393,9 +389,7 @@ def _parse_bool(token: str) -> bool:
     raise ValueError(f"bad boolean {token!r}")
 
 
-def _matches_from_csv(
-    text: str, format_hint: MatchFormat | None
-) -> tuple[list[MatchRecord], list[str]]:
+def _matches_from_csv(text: str) -> tuple[list[MatchRecord], list[str]]:
     lines = text.splitlines()
     if not lines or lines[0].strip() != CSV_HEADER:
         raise ParseError("CSV header does not match the canonical ball log", position="line 1")
@@ -411,7 +405,7 @@ def _matches_from_csv(
                 f"expected 10 fields, found {len(parts)}", position=f"line {line_no}"
             )
         mid, fmt_s, inn_s, over_s, bio_s, legal_s, br_s, er_s, kind_s, wicket_s = parts
-        fmt = format_hint or MatchFormat.from_string(fmt_s)
+        fmt = MatchFormat.from_string(fmt_s)
         match_fmt, by_index = by_match.setdefault(mid, (fmt, {}))
         if match_fmt is not fmt:
             raise ParseError(
@@ -476,10 +470,10 @@ def load_corpus(
         try:
             text = _decode(path.read_bytes())
             if suffix == ".json":
-                record, warns = _match_from_json(text, None, match_id=path.stem)
+                record, warns = _match_from_json(text, match_id=path.stem)
                 parsed = [record]
             else:
-                parsed, warns = _matches_from_csv(text, None)
+                parsed, warns = _matches_from_csv(text)
         except (ParseError, UnsupportedFormatError, OSError) as e:
             diagnostics.append(Diagnostic(path.name, str(e)))
             continue

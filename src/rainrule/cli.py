@@ -26,7 +26,6 @@ from . import dl_reference, run_curves, score_stats, target_engine
 from .ball_log import Corpus, MatchFormat, export_csv, load_corpus
 from .errors import (
     DataError,
-    EmptyCurveError,
     EmptySelectionError,
     FitError,
     InvalidScenarioError,
@@ -35,7 +34,7 @@ from .errors import (
     UnsupportedFormatError,
 )
 from .fixtures import demo_corpus
-from .run_curves import DEFAULT_MIN_SUPPORT, PolyFit
+from .run_curves import DEFAULT_DEGREE, DEFAULT_MIN_SUPPORT
 
 EXIT_OK = 0
 EXIT_DATA = 2
@@ -76,13 +75,24 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def _read_json(path: Path) -> dict:
+def _read_json(path: Path):
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as e:
         raise ParseError(f"cannot read {path}: {e}")
     except json.JSONDecodeError as e:
         raise ParseError(e.msg, position=f"{path}:{e.lineno}:{e.colno}")
+    except (RecursionError, ValueError) as e:  # bad UTF-8, an over-long integer, deep nesting
+        raise ParseError(f"unreadable JSON: {e}", position=str(path))
+
+
+def _emit(args: argparse.Namespace, name: str, payload: dict) -> int:
+    """Write ``payload`` to ``--out``/``name`` when asked, then print it."""
+    if args.out:
+        args.out.mkdir(parents=True, exist_ok=True)
+        _write_json(args.out / name, payload)
+    print(json.dumps(payload, indent=2, sort_keys=True))
+    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +170,7 @@ def cmd_curves(args: argparse.Namespace) -> int:
     out = _output_dir(args)
 
     curves = run_curves.wicket_curves(corpus, fmt, args.innings, args.min_support)
-    fits: dict[str, dict] = {}
+    fitted = []
     for w in range(10):
         try:
             curve = run_curves.state_curve(curves, w, args.min_support)
@@ -172,22 +182,14 @@ def cmd_curves(args: argparse.Namespace) -> int:
         (out / f"curve_{tag}.csv").write_text(
             run_curves.curve_csv(curve, fit), encoding="utf-8"
         )
-        fits[str(w)] = run_curves.fit_summary(curve, fit)
-    if not fits:
+        fitted.append((curve, fit))
+    if not fitted:
         print("error: no wicket state could be fitted", file=sys.stderr)
         return EXIT_FIT
 
-    _write_json(
-        out / f"poly_{fmt.value}_i{args.innings}.json",
-        {
-            "format": fmt.value,
-            "innings": args.innings,
-            "degree": args.degree,
-            "fits": fits,
-        },
-    )
-    print(f"fitted {len(fits)} of 10 wicket curves")
-    print(f"wrote {len(fits) + 1} files to {out}")
+    _write_json(out / f"poly_{fmt.value}_i{args.innings}.json", run_curves.family_summary(fitted))
+    print(f"fitted {len(fitted)} of 10 wicket curves")
+    print(f"wrote {len(fitted) + 1} files to {out}")
     return EXIT_OK
 
 
@@ -195,37 +197,12 @@ def cmd_curves(args: argparse.Namespace) -> int:
 # target
 
 
-def _poly_from_summary(doc: dict, source: str) -> PolyFit:
-    try:
-        return PolyFit(
-            a=float(doc.get("a", 0.0)),
-            b=float(doc["b"]),
-            c=float(doc["c"]),
-            degree=int(doc.get("degree", 3)),
-        )
-    except (KeyError, TypeError, ValueError) as e:
-        raise ParseError(f"bad polynomial fit in {source}: {e}")
-
-
-def _load_poly_fit(path: Path, wickets: int) -> PolyFit:
-    doc = _read_json(path)
-    if "fits" in doc:
-        per_wicket = doc["fits"]
-        key = str(wickets)
-        if key not in per_wicket:
-            raise EmptyCurveError(
-                f"{path} has no fitted curve for wickets={wickets} "
-                f"(available: {', '.join(sorted(per_wicket))})"
-            )
-        return _poly_from_summary(per_wicket[key], f"{path}[fits][{key}]")
-    return _poly_from_summary(doc, str(path))
-
-
 def _revise(args: argparse.Namespace) -> tuple:
     """(scenario document, scenario, revision); nothing left to chase exits 3."""
     doc = _read_json(args.scenario)
     scenario = target_engine.scenario_from_json(doc)
-    fit = _load_poly_fit(args.fits, scenario.wickets_at_stoppage)
+    fits_doc = _read_json(args.fits)
+    fit = run_curves.fit_from_json(fits_doc, scenario.wickets_at_stoppage, str(args.fits))
     revision = target_engine.revise_target(fit, scenario)
     if revision.ratio <= 0.0:
         print(json.dumps({"ratio": 0.0}, indent=2, sort_keys=True))
@@ -237,12 +214,7 @@ def _revise(args: argparse.Namespace) -> tuple:
 
 def cmd_target(args: argparse.Namespace) -> int:
     _, _, revision = _revise(args)
-    payload = target_engine.revision_to_json(revision)
-    print(json.dumps(payload, indent=2, sort_keys=True))
-    if args.out:
-        args.out.mkdir(parents=True, exist_ok=True)
-        _write_json(args.out / "revision.json", payload)
-    return EXIT_OK
+    return _emit(args, "revision.json", target_engine.revision_to_json(revision))
 
 
 # ---------------------------------------------------------------------------
@@ -282,22 +254,16 @@ def cmd_compare(args: argparse.Namespace) -> int:
         )
         payload["resource_model"] = None
     else:
+        # a valid scenario has 0 <= n <= m <= N and 0..10 wickets, so both cells exist
         w = scenario.wickets_at_stoppage
-        try:
-            at_stop = table.percentage(min((scenario.N - scenario.n) // 6, table.max_overs), w)
-            at_restart = table.percentage(min((scenario.N - scenario.m) // 6, table.max_overs), w)
-        except ValueError as e:
-            raise InvalidScenarioError(str(e))
+        at_stop = table.percentage(min((scenario.N - scenario.n) // 6, table.max_overs), w)
+        at_restart = table.percentage(min((scenario.N - scenario.m) // 6, table.max_overs), w)
         payload["resource_model"] = {
             "percent_at_stoppage": at_stop,
             "percent_at_restart": at_restart,
             "percent_lost": at_stop - at_restart,
         }
-    print(json.dumps(payload, indent=2, sort_keys=True))
-    if args.out:
-        args.out.mkdir(parents=True, exist_ok=True)
-        _write_json(args.out / "comparison.json", payload)
-    return EXIT_OK
+    return _emit(args, "comparison.json", payload)
 
 
 # ---------------------------------------------------------------------------
@@ -385,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_corpus_flags(p_curves)
     p_curves.add_argument("--innings", type=int, choices=(1, 2), default=1)
     p_curves.add_argument("--min-support", type=_positive_int, default=DEFAULT_MIN_SUPPORT)
-    p_curves.add_argument("--degree", type=int, choices=(2, 3), default=3)
+    p_curves.add_argument("--degree", type=int, choices=(2, 3), default=DEFAULT_DEGREE)
     p_curves.set_defaults(func=cmd_curves)
 
     p_target = sub.add_parser("target", help="revise an interrupted chase")

@@ -268,11 +268,12 @@ def resource_table_csv(table: ResourceTable) -> str:
 def load_resource_table(path: str | Path) -> ResourceTable:
     """Read a table written by :func:`resource_table_csv`; rows must cover u = 0..max.
 
-    A malformed file raises :class:`ParseError` positioned at ``path:line``.
+    A malformed file, or a cell outside [0, 100] (``inf`` and ``nan`` too),
+    raises :class:`ParseError` positioned at ``path:line``.
     """
     try:
         lines = Path(path).read_text(encoding="utf-8").splitlines()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise ParseError(f"cannot read {path}: {e}")
     if not lines or lines[0].strip() != _TABLE_HEADER:
         raise ParseError("resource table header mismatch", position=f"{path}:1")
@@ -284,10 +285,14 @@ def load_resource_table(path: str | Path) -> ResourceTable:
         if len(parts) != 12:
             raise ParseError("expected 12 fields", position=f"{path}:{line_no}")
         try:
-            rows[int(parts[0])] = [float(v) for v in parts[1:]]
+            cells = [float(v) for v in parts[1:]]
+            if not all(0.0 <= cell <= 100.0 for cell in cells):  # also refuses nan
+                raise ValueError("cells must be percentages in [0, 100]")
+            rows[int(parts[0])] = cells
         except ValueError as e:
             raise ParseError(f"bad cell: {e}", position=f"{path}:{line_no}")
-    if not rows or sorted(rows) != list(range(max(rows) + 1)):
+    # a length check, not a range of the labels: one huge label stays cheap
+    if not rows or min(rows) != 0 or len(rows) != max(rows) + 1:
         raise ParseError(f"resource table rows must cover u = 0..max ({path})")
     max_overs = max(rows)
     grid = np.array([rows[u] for u in range(max_overs + 1)])

@@ -18,7 +18,7 @@ class DataError(RainRuleError):
 
 
 class ParseError(DataError):
-    """A match document could not be parsed.
+    """A match, fits or resource-table document could not be parsed.
 
     ``position`` carries a human-readable location (line / byte offset /
     JSON path) when one is known.
@@ -32,7 +32,7 @@ class ParseError(DataError):
 
 
 class UnsupportedFormatError(DataError):
-    """Match type not recognised and no format hint supplied."""
+    """Match type, competition or population not supported."""
 
 
 class EmptySelectionError(DataError):

@@ -73,6 +73,10 @@ _BYE_RATE = 0.012
 
 _FORMAT_STREAM = {MatchFormat.ODI: 0, MatchFormat.T20I: 1, MatchFormat.IPL: 2}
 
+# the planted remaining-run curve z0 * (1 - exp(-decay * u)) of exponential_profile_corpus
+_Z0 = 250.0
+_DECAY = 0.04
+
 
 def fixture_path(name: str) -> Path:
     """Path of a bundled fixture file, e.g. ``tiny_odi.json`` or ``tiny_log.csv``."""
@@ -115,15 +119,9 @@ def _synthetic_innings(
             break
         ball_in_over += 1
         kind = kind_draw[i]
-        if kind < _WIDE_RATE:
-            deliveries.append(
-                DeliveryEvent(over, ball_in_over, 0, 1, ExtrasKind.WIDE, False, False)
-            )
-            continue
         if kind < _WIDE_RATE + _NO_BALL_RATE:
-            deliveries.append(
-                DeliveryEvent(over, ball_in_over, 0, 1, ExtrasKind.NO_BALL, False, False)
-            )
+            illegal = ExtrasKind.WIDE if kind < _WIDE_RATE else ExtrasKind.NO_BALL
+            deliveries.append(DeliveryEvent(over, ball_in_over, 0, 1, illegal, False, False))
             continue
         if wicket_draw[i] < hazard:
             event = DeliveryEvent(
@@ -183,32 +181,26 @@ def synthetic_corpus(
     return matches
 
 
-def demo_corpus(*, seed: int = DEFAULT_SEED) -> list[MatchRecord]:
+def demo_corpus() -> list[MatchRecord]:
     """Mixed-format corpus sized for the full pipeline with default thresholds."""
     return (
-        synthetic_corpus(MatchFormat.ODI, 64, seed=seed)
-        + synthetic_corpus(MatchFormat.T20I, 48, seed=seed)
-        + synthetic_corpus(MatchFormat.IPL, 48, seed=seed)
+        synthetic_corpus(MatchFormat.ODI, 64)
+        + synthetic_corpus(MatchFormat.T20I, 48)
+        + synthetic_corpus(MatchFormat.IPL, 48)
     )
 
 
-def exponential_profile_corpus(
-    format: MatchFormat,
-    *,
-    z0: float = 250.0,
-    decay: float = 0.04,
-    innings_per_state: int = 1,
-) -> list[MatchRecord]:
+def exponential_profile_corpus(format: MatchFormat) -> list[MatchRecord]:
     """Single-innings matches whose remaining-run profile follows
-    ``z0 * (1 - exp(-decay * u))`` at every whole-over mark, to nearest run.
+    ``z0 * (1 - exp(-decay * u))`` (z0 = 250, decay = 0.04) at every
+    whole-over mark, to nearest run.
 
-    For each wicket state w = 0..9, ``innings_per_state`` identical innings
-    are produced with w wickets falling on the first w legal balls, so the
-    (overs remaining, wickets) cell means reproduce the planted curve up to
-    integer rounding.
+    For each wicket state w = 0..9, one innings is produced with w wickets
+    falling on the first w legal balls, so the (overs remaining, wickets)
+    cell means reproduce the planted curve up to integer rounding.
     """
     max_overs = format.scheduled_overs
-    remaining = [round(z0 * (1.0 - math.exp(-decay * u))) for u in range(max_overs + 1)]
+    remaining = [round(_Z0 * (1.0 - math.exp(-_DECAY * u))) for u in range(max_overs + 1)]
     over_runs = [
         remaining[max_overs - k] - remaining[max_overs - k - 1] for k in range(max_overs)
     ]
@@ -231,18 +223,16 @@ def exponential_profile_corpus(
                         legal=True,
                     )
                 )
-        innings = InningsRecord(1, f"Profile {w} down", tuple(deliveries))
-        for rep in range(innings_per_state):
-            matches.append(
-                MatchRecord(
-                    match_id=f"{format.value}-profile-w{w}-{rep:02d}",
-                    format=format,
-                    date=date(2019, 1, 1),
-                    teams=("Profile A", "Profile B"),
-                    venue="Profile Park",
-                    innings=(innings,),
-                )
+        matches.append(
+            MatchRecord(
+                match_id=f"{format.value}-profile-w{w}-00",
+                format=format,
+                date=date(2019, 1, 1),
+                teams=("Profile A", "Profile B"),
+                venue="Profile Park",
+                innings=(InningsRecord(1, f"Profile {w} down", tuple(deliveries)),),
             )
+        )
     return matches
 
 

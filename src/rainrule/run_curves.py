@@ -13,13 +13,14 @@ curve is pinned to the origin by construction.
 
 from __future__ import annotations
 
+import sys
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .ball_log import MatchFormat, MatchRecord, qualifying_trajectories
-from .errors import EmptyCurveError, SingularFitError
+from .errors import EmptyCurveError, ParseError, SingularFitError
 
 __all__ = [
     "WicketCurve",
@@ -32,9 +33,12 @@ __all__ = [
     "poly_eval",
     "curve_csv",
     "fit_summary",
+    "family_summary",
+    "fit_from_json",
 ]
 
 DEFAULT_MIN_SUPPORT = 10
+DEFAULT_DEGREE = 3
 
 
 @dataclass(frozen=True)
@@ -61,12 +65,6 @@ class WicketCurve:
         for arr in (self.balls, self.means, self.support):
             arr.setflags(write=False)
 
-    @property
-    def points(self) -> list[tuple[int, float, int]]:
-        return list(
-            zip(self.balls.tolist(), self.means.tolist(), self.support.tolist())
-        )
-
     def __len__(self) -> int:
         return len(self.balls)
 
@@ -83,7 +81,7 @@ class PolyFit:
 
     def __post_init__(self):
         if self.degree not in (2, 3):
-            raise ValueError("degree must be 2 or 3")
+            raise ValueError(f"degree must be 2 or 3, got {self.degree!r}")
         if self.degree == 2 and self.a != 0.0:
             raise ValueError("degree-2 fit requires a = 0")
 
@@ -174,16 +172,14 @@ def wicket_curve(
     return state_curve(wicket_curves(corpus, format, innings_index, min_support), w, min_support)
 
 
-def fit_poly(curve: WicketCurve, degree: int = 3, weighted: bool = True) -> PolyFit:
+def fit_poly(curve: WicketCurve, degree: int = DEFAULT_DEGREE) -> PolyFit:
     """Weighted least squares over the zero-intercept monomial basis.
 
     Solved by normal equations; the ball axis is rescaled to [0, 1]
     internally for conditioning and the coefficients are reported back in
-    raw ball units.  Weights are the per-ball supporting innings counts when
-    ``weighted``, else uniform.
+    raw ball units.  Weights are the per-ball supporting innings counts, and
+    :class:`PolyFit` rejects a degree other than 2 or 3.
     """
-    if degree not in (2, 3):
-        raise ValueError("degree must be 2 or 3")
     x = curve.balls.astype(float)
     y = curve.means
     if np.unique(x).size < degree + 1:
@@ -192,7 +188,7 @@ def fit_poly(curve: WicketCurve, degree: int = 3, weighted: bool = True) -> Poly
             f"have {np.unique(x).size}"
         )
 
-    weights = curve.support.astype(float) if weighted else np.ones_like(x)
+    weights = curve.support.astype(float)
     scale = float(curve.format.scheduled_balls)
     s = x / scale
     powers = (3, 2, 1) if degree == 3 else (2, 1)
@@ -217,7 +213,7 @@ def fit_poly(curve: WicketCurve, degree: int = 3, weighted: bool = True) -> Poly
 
 
 # ---------------------------------------------------------------------------
-# exports
+# exports and the fits document
 
 
 def curve_csv(curve: WicketCurve, fit: PolyFit) -> str:
@@ -241,3 +237,42 @@ def fit_summary(curve: WicketCurve, fit: PolyFit) -> dict:
         "c": fit.c,
         "rss": fit.rss,
     }
+
+
+def family_summary(fitted: Sequence[tuple[WicketCurve, PolyFit]]) -> dict:
+    """JSON-ready fits of one format, innings and degree, keyed by wickets down."""
+    curve, fit = fitted[0]
+    fits = {str(c.wickets): fit_summary(c, f) for c, f in fitted}
+    return {"format": curve.format.value, "innings": curve.innings_index,
+            "degree": fit.degree, "fits": fits}
+
+
+def _finite(key: str, value) -> float:
+    # float() keeps a revision's arithmetic as it was; nan fails the bound
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not -sys.float_info.max <= value <= sys.float_info.max):
+        raise ValueError(f"{key}: expected a finite number, got {value!r}")
+    return float(value)
+
+
+def fit_from_json(doc, wickets: int, source: str) -> PolyFit:
+    """The fit for ``wickets`` down from a decoded fits document, one fit or a
+    :func:`family_summary` family: a :class:`ParseError` naming ``source`` and
+    the entry if malformed, an :class:`EmptyCurveError` if the state is missing."""
+    entry, key = source, str(wickets)
+    try:
+        if isinstance(doc, dict) and "fits" in doc:
+            entry, family = f"{source}[fits]", doc["fits"]
+            if key not in family.keys():  # AttributeError unless an object
+                raise EmptyCurveError(
+                    f"{source} has no fitted curve for wickets={wickets} "
+                    f"(available: {', '.join(sorted(family))})"
+                )
+            entry, doc = f"{source}[fits][{key}]", family[key]
+        return PolyFit(
+            _finite("a", doc.get("a", 0.0)), _finite("b", doc["b"]), _finite("c", doc["c"]),
+            degree=doc.get("degree", DEFAULT_DEGREE),
+        )
+    except (AttributeError, KeyError, TypeError, ValueError) as e:
+        detail = f"missing key {e}" if isinstance(e, KeyError) else str(e)
+        raise ParseError(f"bad polynomial fit: {detail}", position=entry) from e

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ball_log import MatchFormat, MatchRecord, innings_trajectories
-from .errors import DegenerateFitError, EmptySelectionError, InsufficientDataError
+from .errors import DataError, DegenerateFitError, EmptySelectionError, InsufficientDataError
 from .leastsq import damped_gauss_newton
 
 __all__ = [
@@ -34,6 +34,7 @@ __all__ = [
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _SIGMA_FLOOR = 1e-9
+_MAX_BINS = 100_000  # far more than any totals histogram needs
 
 
 @dataclass(frozen=True)
@@ -81,14 +82,16 @@ def totals(
 def build_histogram(values: Sequence[int], bin_width: float) -> Histogram:
     """Bin integer values into uniform left-closed bins.
 
-    The lowest edge is ``floor(min/bin_width) * bin_width``; mass is
-    conserved exactly (sum of counts equals the sample count).
+    The lowest edge is ``floor(min/bin_width) * bin_width``, the counts sum to
+    the sample count, and a width needing over 100,000 bins raises :class:`DataError`.
     """
     vals = np.asarray(list(values), dtype=np.int64)
     if vals.size == 0:
         raise EmptySelectionError("cannot build a histogram from no values")
     if not bin_width > 0:
         raise ValueError("bin_width must be positive")
+    if vals.max() > _MAX_BINS * bin_width:  # also keeps the edge guard below finite
+        raise DataError(f"bin width {bin_width!r}: over {_MAX_BINS:,} bins up to {vals.max()}")
 
     lowest = math.floor(vals.min() / bin_width) * bin_width
     while lowest > vals.min():  # guard against upward rounding of the product

@@ -110,26 +110,30 @@ def area_interrupted(fit: PolyFit, n: int, m: int, N: int):
     ) / 12
 
 
+def _usable(label: str, value, positive: bool = False):
+    # the one finiteness rule of a revision; plain comparisons keep Fractions exact
+    if not (-math.inf < value < math.inf and (value > 0 or not positive)):
+        raise DegenerateCurveError(f"{label} is {value!r}; fit unusable for target revision")
+    return value
+
+
 def resource_ratio(fit: PolyFit, scenario: InterruptionScenario) -> float:
     """Playable-area share of the full-innings area, in (0, 1] for sane fits.
 
     Each lost interval contributes its own interrupted-to-full area ratio
     and the contributions multiply.  An empty interval (m = n) loses no
     area, so it contributes exactly 1 and is skipped outright; this keeps
-    the no-interruption ratio exactly 1.0 in floating point.
+    the no-interruption ratio exactly 1.0 in floating point.  A full area not
+    finite and positive, or a ratio not finite, is a :class:`DegenerateCurveError`.
     """
-    full = area_full(fit, scenario.N)
-    if not full > 0:
-        raise DegenerateCurveError(
-            f"full-game area is {full!r}; fit unusable for target revision"
-        )
+    full = _usable("full-game area", area_full(fit, scenario.N), positive=True)
     ratio = None
     for start, restart in scenario.intervals:
         if restart == start:
             continue
         factor = area_interrupted(fit, start, restart, scenario.N) / full
         ratio = factor if ratio is None else ratio * factor
-    return 1.0 if ratio is None else ratio
+    return 1.0 if ratio is None else _usable("area ratio", ratio)
 
 
 def revise_target(fit: PolyFit, scenario: InterruptionScenario) -> RevisedTarget:
@@ -139,7 +143,9 @@ def revise_target(fit: PolyFit, scenario: InterruptionScenario) -> RevisedTarget
     revised total is the floor of current score plus that.
     """
     ratio = resource_ratio(fit, scenario)
-    runs_remaining = ratio * (scenario.target_score - scenario.current_score)
+    runs_remaining = _usable(
+        "runs_remaining", ratio * (scenario.target_score - scenario.current_score)
+    )
     revised_total = math.floor(scenario.current_score + runs_remaining)
     return RevisedTarget(
         ratio=ratio, runs_remaining=runs_remaining, revised_total=revised_total
@@ -153,17 +159,14 @@ def revise_target(fit: PolyFit, scenario: InterruptionScenario) -> RevisedTarget
 _SCENARIO_FIELDS = ("n", "m", "N", "target_score", "current_score")
 
 
-def _as_int(doc: dict, key: str, default: int | None = None) -> int:
-    if key not in doc:
-        if default is not None:
-            return default
-        raise InvalidScenarioError(f"{key}: missing required field")
-    value = doc[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise InvalidScenarioError(f"{key}: expected an integer, got {value!r}")
-    if isinstance(value, float) and not value.is_integer():
-        raise InvalidScenarioError(f"{key}: expected an integer, got {value!r}")
-    return int(value)
+def _as_int(value, label: str) -> int:
+    # the one integer rule of a scenario: every integer up to 2**53 is exact as
+    # a float, and N**4 then stays far inside the float range of the area sums
+    if type(value) is float and value.is_integer():  # never inf or nan
+        value = int(value)
+    if type(value) is not int or not -2**53 <= value <= 2**53:  # bool is not int
+        raise InvalidScenarioError(f"{label}: expected an integer, |n| <= 2**53, got {value!r}")
+    return value
 
 
 def scenario_from_json(doc: dict) -> InterruptionScenario:
@@ -171,26 +174,25 @@ def scenario_from_json(doc: dict) -> InterruptionScenario:
 
     Recognised keys: ``n, m, N, target_score, current_score, wickets`` plus
     an optional ``more_intervals`` list of [start, restart] pairs for
-    multiply-interrupted games.  ``format`` and ``innings`` keys are fit
-    selection hints for the caller and are ignored here.
+    multiply-interrupted games, every integer checked by one rule.  ``format``
+    and ``innings`` keys are fit selection hints for the caller, ignored here.
     """
     if not isinstance(doc, dict):
         raise InvalidScenarioError("scenario document must be a JSON object")
-    values = {key: _as_int(doc, key) for key in _SCENARIO_FIELDS}
-    wickets = _as_int(doc, "wickets", default=0)
-    more = doc.get("more_intervals", ())
     try:
-        more_intervals = tuple((int(a), int(b)) for a, b in more)
+        values = {key: _as_int(doc[key], key) for key in _SCENARIO_FIELDS}
+    except KeyError as e:
+        raise InvalidScenarioError(f"{e.args[0]}: missing required field") from None
+    wickets = _as_int(doc.get("wickets", 0), "wickets")
+    try:
+        more_intervals = tuple(
+            (_as_int(a, "more_intervals"), _as_int(b, "more_intervals"))
+            for a, b in doc.get("more_intervals", ())
+        )
     except (TypeError, ValueError) as e:
         raise InvalidScenarioError(f"more_intervals: expected [start, restart] pairs ({e})")
     return InterruptionScenario(
-        n=values["n"],
-        m=values["m"],
-        N=values["N"],
-        target_score=values["target_score"],
-        current_score=values["current_score"],
-        wickets_at_stoppage=wickets,
-        more_intervals=more_intervals,
+        **values, wickets_at_stoppage=wickets, more_intervals=more_intervals
     )
 
 

@@ -62,19 +62,11 @@ class TestParseMatch:
         assert t20i.format is MatchFormat.T20I
         assert ipl.format is MatchFormat.IPL
 
-    def test_format_hint_overrides_document(self):
-        rec = parse_match(
-            fixture_path("tiny_t20i.json").read_bytes(), format_hint=MatchFormat.ODI
-        )
-        assert rec.format is MatchFormat.ODI
-
-    def test_unknown_match_type_needs_hint(self):
+    def test_unknown_match_type_is_unsupported(self):
         doc = json.loads(fixture_path("tiny_odi.json").read_text())
         doc["info"]["match_type"] = "Test"
-        with pytest.raises(UnsupportedFormatError):
+        with pytest.raises(UnsupportedFormatError, match="'Test'"):
             parse_match(json.dumps(doc))
-        rec = parse_match(json.dumps(doc), format_hint=MatchFormat.ODI)
-        assert rec.format is MatchFormat.ODI
 
     def test_malformed_json_reports_position(self):
         with pytest.raises(ParseError, match=r"line \d+ column \d+"):
@@ -221,6 +213,12 @@ BAD_FILES = [
     ("teams_number.json", json_info(teams=5), "$.info.teams"),
     ("event_name_number.json", json_info(event={"name": 5}), "$.info"),
     ("deeply_nested.json", '{"info": ' + "[" * 100_000 + "]" * 100_000 + "}", "nested"),
+    # past the decoder's 4300-digit limit, which raised ValueError out of load_corpus
+    (
+        "huge_integer.json",
+        json_match(json_innings((0, [{"runs": {"batter": "@"}}]))).replace('"@"', "1" * 5000),
+        "digits",
+    ),
     (
         "runaway_batter_runs.json",
         json_match(json_innings((0, [{"runs": {"batter": 10**10, "extras": 0}}]))),
@@ -262,6 +260,37 @@ def test_retired_batters_are_not_dismissals():
     ]
     rec = parse_match(json_match(json_innings((0, [retired(*k) for k in kinds]))))
     assert [d.wicket for d in rec.innings[0].deliveries] == [False, False, True, True]
+
+
+def with_info(name, **fields):
+    doc = json.loads(fixture_path(name).read_text())
+    doc["info"].update(fields)
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        pytest.param(
+            with_info("tiny_t20i.json", team_type="club", event={"name": "Big Bash League"}),
+            "club T20",
+            id="club_bbl",
+        ),
+        pytest.param(with_info("tiny_ipl.json", team_type="club"), MatchFormat.IPL, id="club_ipl"),
+        pytest.param(with_info("tiny_odi.json", gender="female"), "women's", id="womens_odi"),
+        pytest.param(fixture_path("tiny_t20i.json").read_text(), MatchFormat.T20I, id="tiny_t20i"),
+    ],
+)
+def test_only_mens_internationals_and_the_ipl_load(tmp_path, text, expected):
+    (tmp_path / "match.json").write_text(text)
+    corpus = load_corpus(tmp_path)
+    if isinstance(expected, MatchFormat):
+        assert [m.format for m in corpus] == [expected]
+        assert corpus.diagnostics == ()
+    else:
+        assert len(corpus) == 0
+        assert [d.source for d in corpus.diagnostics] == ["match.json"]
+        assert expected in corpus.diagnostics[0].message
 
 
 # ---------------------------------------------------------------------------

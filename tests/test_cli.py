@@ -328,7 +328,13 @@ class TestCompare:
 
 @pytest.mark.parametrize(
     "fault",
-    ["stats_out_is_a_file", "export_into_missing_dir", "target_out_is_a_file", "comma_in_match_id"],
+    [
+        "stats_out_is_a_file",
+        "export_into_missing_dir",
+        "target_out_is_a_file",
+        "compare_out_is_a_file",
+        "comma_in_match_id",
+    ],
 )
 def test_output_faults_exit_2(data_dir, tmp_path, capsys, fault):
     taken = tmp_path / "taken"
@@ -347,17 +353,99 @@ def test_output_faults_exit_2(data_dir, tmp_path, capsys, fault):
         "target_out_is_a_file": [
             "target", "--scenario", str(scenario), "--fits", str(fits), "--out", str(taken),
         ],
+        "compare_out_is_a_file": [
+            "compare", "--scenario", str(scenario), "--fits", str(fits), "--out", str(taken),
+        ],
         "comma_in_match_id": [
             "ingest", "--data-dir", str(comma_dir), "--export-csv", str(tmp_path / "log.csv"),
         ],
     }[fault]
     code = main(argv)
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
     assert code == 2
     assert "error: " in err
+    if fault in ("target_out_is_a_file", "compare_out_is_a_file"):
+        assert out == ""  # nothing is printed before --out is written
     if fault == "comma_in_match_id":
         assert "'a,b'" in err
         assert not (tmp_path / "log.csv").exists()
+
+
+EXAMPLE_SCENARIO = fixture_path("example_scenario.json").read_text()
+EXAMPLE_FITS = fixture_path("example_fits.json").read_text()
+
+
+def fit_text(b="1.0298", degree="3"):
+    return f'{{"a": -0.0031, "b": {b}, "c": 0.0, "degree": {degree}}}'
+
+
+def scenario_text(**fields):
+    doc = json.loads(EXAMPLE_SCENARIO)
+    text = json.dumps({key: "@" + key if key in fields else v for key, v in doc.items()})
+    for key, value in fields.items():  # raw JSON, so that 1e400 and 10**400 get through
+        text = text.replace(f'"@{key}"', value)
+    return text
+
+
+# (scenario, fits, table cell) documents that crashed ``target`` or
+# ``compare``, printed non-JSON, or were read with a number truncated
+DECISION_DOCUMENTS = {
+    "fits_list": (EXAMPLE_SCENARIO, "[]", None, 2),
+    "fits_string": (EXAMPLE_SCENARIO, '"x"', None, 2),
+    "fits_family_number": (EXAMPLE_SCENARIO, '{"fits": 5}', None, 2),
+    "fits_entry_number": (EXAMPLE_SCENARIO, '{"fits": {"4": 5}}', None, 2),
+    "fits_b_1e400": (EXAMPLE_SCENARIO, fit_text(b="1e400"), None, 2),
+    "fits_b_10**400": (EXAMPLE_SCENARIO, fit_text(b=str(10**400)), None, 2),
+    "fits_degree_3.7": (EXAMPLE_SCENARIO, fit_text(degree="3.7"), None, 2),
+    "fits_b_1e305": (EXAMPLE_SCENARIO, fit_text(b="1e305"), None, 4),
+    "scenario_N_1e300": (scenario_text(N="1e300"), EXAMPLE_FITS, None, 3),
+    "scenario_target_10**400": (scenario_text(target_score=str(10**400)), EXAMPLE_FITS, None, 3),
+    "scenario_interval_1e400": (
+        json.dumps(dict(json.loads(EXAMPLE_SCENARIO), more_intervals="@")).replace(
+            '"@"', "[[1e400, 2]]"
+        ),
+        EXAMPLE_FITS, None, 3,
+    ),
+    "scenario_interval_200.5": (
+        json.dumps(dict(json.loads(EXAMPLE_SCENARIO), more_intervals=[[200.5, 220]])),
+        EXAMPLE_FITS, None, 3,
+    ),
+    # u = (300 - 120) // 6 overs left at the stoppage, 4 wickets down
+    "table_inf": (EXAMPLE_SCENARIO, EXAMPLE_FITS, (30, 4, "inf"), 2),
+}
+
+
+@pytest.mark.parametrize("name", DECISION_DOCUMENTS)
+def test_decision_document_faults_exit_with_message(tmp_path, capsys, name):
+    scenario, fits, cell, expected = DECISION_DOCUMENTS[name]
+    (tmp_path / "scenario.json").write_text(scenario)
+    (tmp_path / "fits.json").write_text(fits)
+    argv = ["--scenario", str(tmp_path / "scenario.json"), "--fits", str(tmp_path / "fits.json")]
+    if cell is None:
+        code = main(["target"] + argv)
+    else:
+        family = fit_dl_family(
+            exponential_profile_corpus(MatchFormat.ODI), MatchFormat.ODI, min_support=1
+        )
+        rows = [line.split(",") for line in resource_table_csv(resource_table(family, 50)).split()]
+        u, w, value = cell
+        row = next(r for r in rows if r[0] == str(u))
+        row[1 + w] = value
+        (tmp_path / "table.csv").write_text("\n".join(",".join(r) for r in rows) + "\n")
+        code = main(["compare", "--dl-table", str(tmp_path / "table.csv")] + argv)
+    out, err = capsys.readouterr()
+    assert code == expected
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+def test_stats_refuses_a_bin_width_needing_too_many_bins(data_dir, tmp_path, capsys):
+    code = main(["stats", "--data-dir", str(data_dir), "--format", "ipl",
+                 "--bin-width", "1e-300", "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 4
+    assert "bin width 1e-300" in err
+    assert not list((tmp_path / "out").iterdir())
 
 
 class TestArgumentValidation:

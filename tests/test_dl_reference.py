@@ -177,6 +177,24 @@ class TestResourceTable:
         path.write_text(text)
         assert resource_table_csv(load_resource_table(path)) == text
 
+    @pytest.mark.parametrize("cell", ["inf", "nan", "-0.5", "100.1", "1e308"])
+    def test_cell_must_be_a_percentage(self, odi_table, tmp_path, cell):
+        rows = resource_table_csv(odi_table).splitlines()
+        rows[5] = ",".join(rows[5].split(",")[:-1] + [cell])
+        path = tmp_path / "table.csv"
+        path.write_text("\n".join(rows) + "\n")
+        with pytest.raises(ParseError, match=r"\[0, 100\]") as exc:
+            load_resource_table(path)
+        assert exc.value.position == f"{path}:6"
+
+    def test_huge_row_label_is_a_coverage_error(self, odi_table, tmp_path):
+        rows = resource_table_csv(odi_table).splitlines()
+        rows[1] = ",".join([str(10**12)] + rows[1].split(",")[1:])
+        path = tmp_path / "table.csv"
+        path.write_text("\n".join(rows) + "\n")
+        with pytest.raises(ParseError, match="u = 0..max"):
+            load_resource_table(path)
+
     def test_malformed_csv_rejected(self, odi_table, tmp_path):
         rows = resource_table_csv(odi_table).splitlines()
         path = tmp_path / "table.csv"

@@ -4,10 +4,13 @@
 * ``load_corpus`` turns one malformed file into at most one diagnostic and
   still returns every good match;
 * ``ingest``, ``stats`` and ``curves`` exit with 0, 2, 3 or 4, never with a
-  traceback.
+  traceback;
+* ``target`` and ``compare --dl-table`` exit with 0, 2, 3 or 4, and print
+  strict JSON (no ``NaN`` or ``Infinity``) when they succeed.
 
-The malformed documents are ``tiny_odi.json`` with one node, at any depth,
-replaced by an arbitrary JSON value.
+The malformed documents are ``tiny_odi.json``, or a scenario, fits or
+resource-table file, with one node (or one CSV cell) replaced by an
+arbitrary value.
 """
 
 from __future__ import annotations
@@ -26,13 +29,17 @@ from hypothesis import strategies as st  # noqa: E402
 
 from rainrule import (  # noqa: E402
     CSV_HEADER,
+    MatchFormat,
     MatchRecord,
     RainRuleError,
+    fit_dl_family,
     load_corpus,
     parse_match,
+    resource_table,
+    resource_table_csv,
 )
 from rainrule.cli import main  # noqa: E402
-from rainrule.fixtures import fixture_path  # noqa: E402
+from rainrule.fixtures import exponential_profile_corpus, fixture_path  # noqa: E402
 
 GOOD_FILES = ("tiny_t20i.json", "tiny_ipl.json")
 TINY_ODI = json.loads(fixture_path("tiny_odi.json").read_text())
@@ -50,17 +57,21 @@ def _node_paths(node, prefix=()):
         yield from _node_paths(child, prefix + (key,))
 
 
-# every node but the root, grouped by its path with list indices wildcarded,
-# so that the few header fields are drawn as often as the many delivery fields
-NODE_GROUPS: dict[tuple, list[tuple]] = {}
-for _path in list(_node_paths(TINY_ODI))[1:]:
-    _shape = tuple("*" if isinstance(key, int) else key for key in _path)
-    NODE_GROUPS.setdefault(_shape, []).append(_path)
+def node_groups(doc, with_root: bool) -> list[list[tuple]]:
+    """The node paths of ``doc`` grouped by path with list indices wildcarded,
+    so that the few header fields are drawn as often as the many delivery fields."""
+    groups: dict[tuple, list[tuple]] = {}
+    for path in list(_node_paths(doc))[0 if with_root else 1:]:
+        shape = tuple("*" if isinstance(key, int) else key for key in path)
+        groups.setdefault(shape, []).append(path)
+    return list(groups.values())
 
-# keys the reader looks up, so that replaced objects sometimes half-match
+
+# keys the readers look up, so that replaced objects sometimes half-match
 KEYS = st.sampled_from(
     ["info", "dates", "teams", "event", "name", "innings", "overs", "over",
-     "deliveries", "runs", "batter", "extras", "wides", "wickets", "kind"]
+     "deliveries", "runs", "batter", "extras", "wides", "wickets", "kind",
+     "fits", "4", "a", "b", "c", "degree", "n", "m", "N", "more_intervals"]
 ) | st.text(max_size=6)
 
 # integers past 64 bits get their own branch: run counts end up in numpy's
@@ -81,8 +92,10 @@ JSON_VALUES = st.recursive(
 )
 
 
-def mutated(path: tuple, value) -> str:
-    doc = copy.deepcopy(TINY_ODI)
+def mutated(path: tuple, value, original=TINY_ODI) -> str:
+    if not path:
+        return json.dumps(value)
+    doc = copy.deepcopy(original)
     parent = doc
     for key in path[:-1]:
         parent = parent[key]
@@ -91,9 +104,10 @@ def mutated(path: tuple, value) -> str:
 
 
 @st.composite
-def mutated_documents(draw) -> str:
-    path = draw(st.sampled_from(list(NODE_GROUPS.values())).flatmap(st.sampled_from))
-    return mutated(path, draw(JSON_VALUES))
+def mutated_documents(draw, original=TINY_ODI, with_root=False) -> str:
+    groups = node_groups(original, with_root)
+    path = draw(st.sampled_from(groups).flatmap(st.sampled_from))
+    return mutated(path, draw(JSON_VALUES), original)
 
 
 def assert_parses_or_raises_rainrule_error(data) -> None:
@@ -165,3 +179,81 @@ def test_commands_exit_with_a_documented_code(corpus_dir, text, command):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = main(argv)
     assert code in (0, 2, 3, 4)
+
+
+SCENARIO = json.loads(fixture_path("example_scenario.json").read_text())
+SINGLE_FIT = json.loads(fixture_path("example_fits.json").read_text())
+FAMILY = {
+    "format": "odi",
+    "innings": 2,
+    "degree": 3,
+    "fits": {
+        "3": {"a": -0.0029, "b": 1.01, "c": 0.2, "degree": 3},
+        "4": SINGLE_FIT,
+        "5": {"a": 0.0, "b": 0.0004, "c": 0.55, "degree": 2},
+    },
+}
+TABLE = resource_table_csv(
+    resource_table(
+        fit_dl_family(exponential_profile_corpus(MatchFormat.ODI), MatchFormat.ODI, min_support=1),
+        MatchFormat.ODI.scheduled_overs,
+    )
+)
+# a replacement cell: numbers of every size and kind, or any text
+CELLS = st.floats().map(repr) | st.integers().map(str) | st.text(max_size=8)
+
+
+@st.composite
+def mutated_tables(draw) -> str:
+    rows = [line.split(",") for line in TABLE.splitlines()]
+    row = draw(st.sampled_from(rows))
+    row[draw(st.integers(0, len(row) - 1))] = draw(CELLS)
+    return "\n".join(",".join(r) for r in rows) + "\n"
+
+
+@st.composite
+def decision_inputs(draw) -> dict[str, str]:
+    """A scenario, a fits file (one fit or a family) and a table, one of them mutated."""
+    fits = draw(st.sampled_from([SINGLE_FIT, FAMILY]))
+    files = {
+        "scenario.json": json.dumps(SCENARIO),
+        "fits.json": json.dumps(fits),
+        "table.csv": TABLE,
+    }
+    name = draw(st.sampled_from(sorted(files)))
+    if name == "scenario.json":
+        files[name] = draw(mutated_documents(SCENARIO, with_root=True))
+    elif name == "fits.json":
+        files[name] = draw(mutated_documents(fits, with_root=True))
+    else:
+        files[name] = draw(mutated_tables())
+    return files
+
+
+def strict_json(text: str):
+    def reject(constant):
+        raise ValueError(f"non-finite number {constant} in the output")
+
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.fixture(scope="module")
+def decision_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("decision")
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(files=decision_inputs(), command=st.sampled_from(["target", "compare"]))
+def test_decision_commands_exit_with_a_documented_code(decision_dir, files, command):
+    for name, text in files.items():
+        (decision_dir / name).write_text(text, encoding="utf-8")
+    argv = [command, "--scenario", str(decision_dir / "scenario.json"),
+            "--fits", str(decision_dir / "fits.json")]
+    if command == "compare":
+        argv += ["--dl-table", str(decision_dir / "table.csv")]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    assert code in (0, 2, 3, 4)
+    if code == 0:
+        strict_json(out.getvalue())

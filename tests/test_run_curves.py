@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -12,10 +14,13 @@ from rainrule import (
     InningsRecord,
     MatchFormat,
     MatchRecord,
+    ParseError,
     PolyFit,
     SingularFitError,
     WicketCurve,
     curve_csv,
+    family_summary,
+    fit_from_json,
     fit_poly,
     poly_eval,
     trajectory,
@@ -187,11 +192,8 @@ class TestFitPoly:
             format=MatchFormat.T20I, innings_index=1,
         )
         weighted = fit_poly(heavy, degree=2)
-        unweighted = fit_poly(heavy, degree=2, weighted=False)
+        unweighted = fit_poly(flat, degree=2)
         assert poly_eval(weighted, 60.0) > poly_eval(unweighted, 60.0)
-        assert fit_poly(flat, degree=2).b == pytest.approx(
-            unweighted.b, rel=1e-12
-        )
 
     def test_too_few_distinct_balls_is_singular(self):
         tiny = planted_curve(-0.001, 1.0, 0.5, [10, 20, 30])
@@ -222,3 +224,52 @@ class TestCurveCsv:
         assert lines[0] == "ball,mean_score,n_contributing,fitted_value"
         assert lines[1].split(",")[0] == "1"
         assert len(lines) == 4
+
+
+class TestFitsDocument:
+    def test_family_round_trip(self):
+        curves = [
+            planted_curve(-0.002, 1.1, 0.3, range(1, 301)),
+            planted_curve(-0.001, 0.9, 0.2, range(1, 301)),
+        ]
+        curves[1] = WicketCurve(
+            wickets=4, balls=curves[1].balls, means=curves[1].means,
+            support=curves[1].support, format=MatchFormat.ODI, innings_index=1,
+        )
+        fitted = [(curve, fit_poly(curve)) for curve in curves]
+        doc = json.loads(json.dumps(family_summary(fitted)))
+        assert (doc["format"], doc["innings"], doc["degree"]) == ("odi", 1, 3)
+        assert sorted(doc["fits"]) == ["0", "4"]
+        for curve, fit in fitted:
+            assert fit_from_json(doc, curve.wickets, "family.json") == PolyFit(
+                a=fit.a, b=fit.b, c=fit.c, degree=3
+            )
+        with pytest.raises(EmptyCurveError, match=r"wickets=5 \(available: 0, 4\)"):
+            fit_from_json(doc, 5, "family.json")
+
+    def test_single_fit_defaults(self):
+        assert fit_from_json({"b": 1, "c": 0.5}, 7, "fit.json") == PolyFit(
+            a=0.0, b=1.0, c=0.5, degree=3
+        )
+
+    @pytest.mark.parametrize(
+        "doc, position",
+        [
+            ([], "fit.json"),
+            ({"fits": []}, "fit.json[fits]"),
+            ({"fits": {"4": "x"}}, "fit.json[fits][4]"),
+            ({"b": 1.0}, "fit.json"),
+            ({"b": True, "c": 0.0}, "fit.json"),
+            ({"b": "1.0", "c": 0.0}, "fit.json"),
+            ({"b": float("inf"), "c": 0.0}, "fit.json"),
+            ({"b": float("nan"), "c": 0.0}, "fit.json"),
+            ({"b": 10**400, "c": 0.0}, "fit.json"),
+            ({"b": 1.0, "c": 0.0, "degree": 3.7}, "fit.json"),
+            ({"b": 1.0, "c": 0.0, "degree": "3"}, "fit.json"),
+            ({"fits": {"4": {"a": 0.1, "b": 1.0, "c": 0.0, "degree": 2}}}, "fit.json[fits][4]"),
+        ],
+    )
+    def test_malformed_document_is_one_parse_error(self, doc, position):
+        with pytest.raises(ParseError) as exc:
+            fit_from_json(doc, 4, "fit.json")
+        assert exc.value.position == position

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from rainrule import (
+    DataError,
     DegenerateFitError,
     EmptySelectionError,
     Histogram,
@@ -85,6 +86,13 @@ class TestBuildHistogram:
             build_histogram([], 10.0)
         with pytest.raises(ValueError):
             build_histogram([1, 2], 0.0)
+
+    @pytest.mark.parametrize("width", [1e-300, 5e-324, 0.001])
+    def test_rejects_a_width_needing_too_many_bins(self, width):
+        # 1e-300 looped forever: the guard step cannot move a total-sized float
+        with pytest.raises(DataError, match=f"bin width {width!r}"):
+            build_histogram([150, 320], width)
+        assert build_histogram([150, 320], 0.01).counts.sum() == 2  # 32,001 bins
 
 
 class TestFitNormal:

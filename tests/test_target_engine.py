@@ -98,6 +98,28 @@ class TestResourceRatio:
         with pytest.raises(DegenerateCurveError):
             resource_ratio(sinking, WORKED)
 
+    @pytest.mark.parametrize("b", [1e305, float("inf"), float("nan")])
+    def test_non_finite_area_rejected(self, b):
+        # 1e305 overflows the full area to inf, and inf / inf gave a nan ratio
+        with pytest.raises(DegenerateCurveError, match="full-game area"):
+            revise_target(PolyFit(a=0.0, b=b, c=0.0, degree=3), WORKED)
+
+    @pytest.mark.parametrize(
+        "fit, lost, label",
+        [
+            # the full area's inner sum cancels, the interrupted terms overflow
+            (PolyFit(a=1e303, b=-2.25e305, c=1e300, degree=3), (0, 1), "area ratio"),
+            (PolyFit(a=1e290, b=-2.25e292, c=1e-300, degree=3), (0, 150), "area ratio"),
+            (PolyFit(a=1e290, b=-2.25e292, c=1.0, degree=3), (0, 150), "runs_remaining"),
+        ],
+    )
+    def test_non_finite_ratio_and_runs_rejected(self, fit, lost, label):
+        scenario = InterruptionScenario(
+            n=lost[0], m=lost[1], N=300, target_score=2**53, current_score=0
+        )
+        with pytest.raises(DegenerateCurveError, match=label):
+            revise_target(fit, scenario)
+
 
 class TestReviseTarget:
     def test_worked_example_revision(self):
@@ -189,6 +211,35 @@ class TestJsonInterface:
             scenario_from_json(
                 {"n": 120, "m": 180.5, "N": 300, "target_score": 275, "current_score": 100}
             )
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("N", 1e300),
+            ("N", 2**53 + 1),
+            ("target_score", 10**400),
+            ("current_score", True),
+            ("n", "120"),
+            ("m", float("nan")),
+            ("more_intervals", [[1e400, 200]]),
+            ("more_intervals", [[200.5, 220]]),
+            ("more_intervals", [["200", 220]]),
+            ("more_intervals", [[200, 2**64]]),
+        ],
+    )
+    def test_every_integer_passes_one_rule(self, field, value):
+        doc = {"n": 120, "m": 180, "N": 300, "target_score": 275, "current_score": 100}
+        doc[field] = value
+        with pytest.raises(InvalidScenarioError, match=f"{field}: expected an integer"):
+            scenario_from_json(doc)
+
+    def test_integers_up_to_2_53_accepted(self):
+        scenario = scenario_from_json(
+            {"n": 120, "m": 180, "N": 300, "target_score": 2**53, "current_score": 100.0,
+             "more_intervals": [[200.0, 220]]}
+        )
+        assert scenario.target_score == 2**53
+        assert scenario.intervals == ((120, 180), (200, 220))
 
     def test_more_intervals_parsed(self):
         scenario = scenario_from_json(
