@@ -3,6 +3,10 @@
 Uses the tiny bundled fixtures so it runs with no external data. The point
 to notice is the ball axis: only legal deliveries advance it, and runs from
 a wide or no-ball are credited to the next legal ball.
+
+An innings is held as columns (over, ball_in_over, batter_runs, extras_runs,
+an extras-kind code and wicket); ``innings.deliveries`` shows the same data
+one row per delivery.
 """
 
 from rainrule import parse_match, trajectory
@@ -14,10 +18,10 @@ for name in ("tiny_odi.json", "tiny_t20i.json", "tiny_ipl.json", "tiny_log.csv")
     print(f"  format={match.format.value}  date={match.date}  venue={match.venue}")
     print(f"  teams: {match.teams[0]} v {match.teams[1]}")
     for innings in match.innings:
-        total = sum(d.total_runs for d in innings.deliveries)
-        wickets = sum(1 for d in innings.deliveries if d.wicket)
+        total = int(innings.batter_runs.sum() + innings.extras_runs.sum())
+        wickets = int(innings.wicket.sum())
         print(
-            f"  innings {innings.innings_index}: {len(innings.deliveries)} deliveries, "
+            f"  innings {innings.innings_index}: {innings.over.size} deliveries, "
             f"{total}/{wickets}"
         )
     print()

@@ -17,21 +17,27 @@ Normalization rules applied while building trajectories:
 * wickets follow the same index placement as the runs of their delivery;
   a batter retired hurt or retired not out is not a wicket.
 
-Each reader has one place that turns a malformed document into a
-:class:`ParseError` naming the position (a JSON path or a CSV line), and the
-record types hold the structural rules, so one bad file is one diagnostic in
-:func:`load_corpus`.
+An innings is one :class:`InningsRecord` of columns (over, ball_in_over,
+batter_runs, extras_runs, an extras-kind code, wicket), one row per delivery,
+with read-only :class:`Delivery` row views on demand.  It checks each
+delivery rule once over its columns; each reader maps the first failing row
+back to its own position (a JSON path or a CSV line), where it also reports
+any other malformed field, as one :class:`ParseError`, so one bad file is one
+diagnostic in :func:`load_corpus`.
 """
 
 from __future__ import annotations
 
 import json
 import warnings
+from bisect import bisect_right
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from datetime import date
 from enum import Enum
+from functools import cached_property
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,7 +46,7 @@ from .errors import DataError, ParseError, UnsupportedFormatError
 __all__ = [
     "MatchFormat",
     "ExtrasKind",
-    "DeliveryEvent",
+    "Delivery",
     "InningsRecord",
     "MatchRecord",
     "InningsTrajectory",
@@ -63,6 +69,7 @@ CSV_HEADER = (
 
 # placeholder metadata for CSV ball logs, which carry none
 _CSV_EPOCH = date(1900, 1, 1)
+_CSV_BOOL = {True: "true", False: "false"}
 
 
 class MatchFormat(Enum):
@@ -96,22 +103,24 @@ class ExtrasKind(Enum):
     LEG_BYE = "leg_bye"
     PENALTY = "penalty"
 
+    def __init__(self, value: str):
+        # this kind's value in the ``kind`` column of an InningsRecord: its position
+        self.code = len(type(self).__members__)
 
-_ILLEGAL_KINDS = (ExtrasKind.WIDE, ExtrasKind.NO_BALL)
+
+_KINDS = tuple(ExtrasKind)
+_ILLEGAL_CODES = (ExtrasKind.WIDE.code, ExtrasKind.NO_BALL.code)
 
 # far above any real delivery: it keeps every innings sum exact in int64 and
 # float64, and a totals histogram in proportion to the input
 _MAX_DELIVERY_RUNS = 100
 
+_I64 = np.iinfo(np.int64)
+_COLUMNS = ("over", "ball_in_over", "batter_runs", "extras_runs", "kind", "wicket")
 
-@dataclass(frozen=True)
-class DeliveryEvent:
-    """One delivery, legal or not.
 
-    ``ball_in_over`` is the delivery's sequence number within its over,
-    counting illegal deliveries, so ordering by (over, ball_in_over) is the
-    bowling order.
-    """
+class Delivery(NamedTuple):
+    """One row of an :class:`InningsRecord`, as :attr:`InningsRecord.deliveries` shows it."""
 
     over: int
     ball_in_over: int
@@ -121,38 +130,93 @@ class DeliveryEvent:
     wicket: bool
     legal: bool
 
-    def __post_init__(self):
-        if self.over < 0 or self.ball_in_over < 1:
-            raise ValueError("over must be >= 0 and ball_in_over >= 1")
-        if self.batter_runs < 0 or self.extras_runs < 0:
-            raise ValueError("negative runs")
-        if self.batter_runs > _MAX_DELIVERY_RUNS or self.extras_runs > _MAX_DELIVERY_RUNS:
-            raise ValueError(f"more than {_MAX_DELIVERY_RUNS} runs from one delivery")
-        if self.legal == (self.extras_kind in _ILLEGAL_KINDS):
-            raise ValueError("legal flag inconsistent with extras kind")
-        if self.extras_kind in _ILLEGAL_KINDS and self.extras_runs < 1:
-            raise ValueError("wide/no-ball must credit at least one extra run")
-
     @property
     def total_runs(self) -> int:
         return self.batter_runs + self.extras_runs
 
 
-@dataclass(frozen=True)
+class _RowError(ValueError):
+    """A delivery rule failing at ``row``, which a reader maps to its own position."""
+
+    def __init__(self, row: int, message: str):
+        super().__init__(message)
+        self.row = row
+
+
+def _column(values, dtype) -> np.ndarray:
+    """A read-only copy; a value past int64 is pinned to the nearer end,
+    where a delivery rule rejects it."""
+    try:
+        column = np.array(values, dtype=dtype)
+    except OverflowError:
+        column = np.array([min(max(v, _I64.min), _I64.max) for v in values], dtype=dtype)
+    column.setflags(write=False)
+    return column
+
+
+@dataclass(frozen=True, eq=False)
 class InningsRecord:
+    """One innings as columns, one row per delivery, legal or not.
+
+    ``ball_in_over`` is the delivery's sequence number within its over,
+    counting illegal deliveries, so ordering by (over, ball_in_over) is the
+    bowling order.  ``kind`` holds :attr:`ExtrasKind.code` values; wides and
+    no-balls are the illegal kinds, so ``legal`` is derived from it.
+    ``wicket`` is boolean, the other columns int64.
+    """
+
     innings_index: int
     batting_team: str
-    deliveries: tuple[DeliveryEvent, ...]
+    over: np.ndarray
+    ball_in_over: np.ndarray
+    batter_runs: np.ndarray
+    extras_runs: np.ndarray
+    kind: np.ndarray
+    wicket: np.ndarray
 
     def __post_init__(self):
         if self.innings_index not in (1, 2):
             raise ValueError("innings_index must be 1 or 2")
-        object.__setattr__(self, "deliveries", tuple(self.deliveries))
-        keys = [(d.over, d.ball_in_over) for d in self.deliveries]
-        if any(b < a for a, b in zip(keys, keys[1:])):
+        for name in _COLUMNS:
+            dtype = bool if name == "wicket" else np.int64
+            object.__setattr__(self, name, _column(getattr(self, name), dtype))
+        if len({getattr(self, name).shape for name in _COLUMNS}) != 1:
+            raise ValueError("columns differ in length")
+
+        over, ball, batter, extras = self.over, self.ball_in_over, self.batter_runs, self.extras_runs
+        cap = _MAX_DELIVERY_RUNS
+        rules = (
+            ((over < 0) | (ball < 1), "over must be >= 0 and ball_in_over >= 1"),
+            ((over == _I64.max) | (ball == _I64.max), "over or ball_in_over past int64"),
+            ((batter < 0) | (extras < 0), "negative runs"),
+            ((batter > cap) | (extras > cap), f"more than {cap} runs from one delivery"),
+            ((self.kind < 0) | (self.kind >= len(_KINDS)), "unknown extras kind code"),
+            (~self.legal & (extras < 1), "wide/no-ball must credit at least one extra run"),
+        )
+        failing = np.logical_or.reduce([mask for mask, _ in rules])
+        if failing.any():
+            row = int(failing.argmax())
+            raise _RowError(row, next(message for mask, message in rules if mask[row]))
+        if np.any((over[1:] < over[:-1]) | ((over[1:] == over[:-1]) & (ball[1:] < ball[:-1]))):
             raise ValueError("deliveries not ordered by (over, ball_in_over)")
-        if sum(d.wicket for d in self.deliveries) > 10:
+        if np.count_nonzero(self.wicket) > 10:
             raise ValueError("more than 10 wickets in one innings")
+
+    def __eq__(self, other):
+        if not isinstance(other, InningsRecord):
+            return NotImplemented
+        fields = ("innings_index", "batting_team") + _COLUMNS
+        return all(np.array_equal(getattr(self, f), getattr(other, f)) for f in fields)
+
+    @property
+    def legal(self) -> np.ndarray:
+        return np.isin(self.kind, _ILLEGAL_CODES, invert=True)
+
+    @cached_property
+    def deliveries(self) -> tuple[Delivery, ...]:
+        """The rows as :class:`Delivery` views, built on first use."""
+        rows = zip(*(getattr(self, c).tolist() for c in _COLUMNS), self.legal.tolist())
+        return tuple(Delivery(o, b, r, x, _KINDS[k], w, ok) for o, b, r, x, k, w, ok in rows)
 
 
 @dataclass(frozen=True)
@@ -300,19 +364,33 @@ def _match_from_json(text: str, match_id: str | None) -> tuple[MatchRecord, list
             if i >= 2:
                 dropped += sum(len(ov.get("deliveries", ())) for ov in entry.get("overs", ()))
                 continue
-            deliveries: list[DeliveryEvent] = []
+            columns: tuple[list, ...] = ([], [], [], [], [], [])
+            over_col, ball_col, batter_col, extras_col, kind_col, wicket_col = columns
+            starts = []  # the row of each over's first delivery
             for o, over_obj in enumerate(entry.get("overs", ())):
                 b = None
+                starts.append(len(over_col))
                 over = int(over_obj.get("over", 0))
                 for b, d in enumerate(over_obj.get("deliveries", ())):
-                    deliveries.append(_delivery_from_json(d, over, b + 1))
+                    runs = d.get("runs", {})
+                    over_col.append(over)
+                    ball_col.append(b + 1)
+                    batter_col.append(int(runs.get("batter", 0)))
+                    extras_col.append(int(runs.get("extras", 0)))
+                    kind_col.append(_extras_code(d.get("extras")))
+                    wicket_col.append(
+                        any(w.get("kind") not in _NOT_DISMISSALS for w in d.get("wickets") or ())
+                    )
             o = None
-            innings.append(InningsRecord(i + 1, str(entry.get("team", "")), deliveries))
+            innings.append(InningsRecord(i + 1, str(entry.get("team", "")), *columns))
         i = None
         record = MatchRecord(match_id, fmt, match_date, teams, venue, innings)
     except (AttributeError, IndexError, KeyError, OverflowError, TypeError, ValueError) as e:
         if i is not None:
             field = f"$.innings[{i}]"
+            if isinstance(e, _RowError):
+                o = bisect_right(starts, e.row) - 1
+                b = e.row - starts[o]
             if o is not None:
                 field += f".overs[{o}]" + ("" if b is None else f".deliveries[{b}]")
         detail = f"missing key {e}" if isinstance(e, KeyError) else str(e)
@@ -359,25 +437,11 @@ _EXTRAS_PRECEDENCE = (
 _NOT_DISMISSALS = ("retired hurt", "retired not out")
 
 
-def _delivery_from_json(d: dict, over: int, ball_no: int) -> DeliveryEvent:
-    runs = d.get("runs", {})
-    batter_runs = int(runs.get("batter", 0))
-    extras_runs = int(runs.get("extras", 0))
-    extras = d.get("extras", {}) or {}
-    kind = ExtrasKind.NONE
-    for key, candidate in _EXTRAS_PRECEDENCE:
+def _extras_code(extras) -> int:
+    for key, kind in _EXTRAS_PRECEDENCE if extras else ():
         if key in extras:
-            kind = candidate
-            break
-    return DeliveryEvent(
-        over=over,
-        ball_in_over=ball_no,
-        batter_runs=batter_runs,
-        extras_runs=extras_runs,
-        extras_kind=kind,
-        wicket=any(w.get("kind") not in _NOT_DISMISSALS for w in d.get("wickets") or ()),
-        legal=kind not in _ILLEGAL_KINDS,
-    )
+            return kind.code
+    return ExtrasKind.NONE.code
 
 
 def _parse_bool(token: str) -> bool:
@@ -394,8 +458,8 @@ def _matches_from_csv(text: str) -> tuple[list[MatchRecord], list[str]]:
     if not lines or lines[0].strip() != CSV_HEADER:
         raise ParseError("CSV header does not match the canonical ball log", position="line 1")
 
-    # match_id -> (format, innings index -> deliveries), in first-appearance order
-    by_match: dict[str, tuple[MatchFormat, dict[int, list[DeliveryEvent]]]] = {}
+    # match_id -> (format, innings index -> [line numbers, *columns]), first seen first
+    by_match: dict[str, tuple[MatchFormat, dict[int, list[list]]]] = {}
     for line_no, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
@@ -413,38 +477,30 @@ def _matches_from_csv(text: str) -> tuple[list[MatchRecord], list[str]]:
             )
         try:
             innings_index = int(inn_s)
-            event = DeliveryEvent(
-                over=int(over_s),
-                ball_in_over=int(bio_s),
-                batter_runs=int(br_s),
-                extras_runs=int(er_s),
-                extras_kind=ExtrasKind(kind_s.strip()),
-                wicket=_parse_bool(wicket_s),
-                legal=_parse_bool(legal_s),
-            )
+            row = (line_no, int(over_s), int(bio_s), int(br_s), int(er_s),
+                   ExtrasKind(kind_s.strip()).code, _parse_bool(wicket_s))
+            # the one field no column holds: legality follows from the kind
+            if _parse_bool(legal_s) == (row[5] in _ILLEGAL_CODES):
+                raise ValueError("legal flag inconsistent with extras kind")
         except ValueError as e:
             raise ParseError(f"bad delivery row: {e}", position=f"line {line_no}") from e
-        by_index.setdefault(innings_index, []).append(event)
+        columns = by_index.setdefault(innings_index, [[] for _ in range(7)])
+        for column, value in zip(columns, row):
+            column.append(value)
 
     records = []
     for mid, (fmt, by_index) in by_match.items():
         innings = []
-        for idx, deliveries in by_index.items():
+        for idx, (line_nos, *columns) in by_index.items():
             try:
-                innings.append(InningsRecord(idx, "", tuple(deliveries)))
+                innings.append(InningsRecord(idx, "", *columns))
+            except _RowError as e:
+                position = f"line {line_nos[e.row]}"
+                raise ParseError(f"bad delivery row: {e}", position=position) from e
             except ValueError as e:
                 raise ParseError(f"bad innings {idx} of match {mid!r}: {e}") from e
         innings.sort(key=lambda inn: inn.innings_index)
-        records.append(
-            MatchRecord(
-                match_id=mid,
-                format=fmt,
-                date=_CSV_EPOCH,
-                teams=("", ""),
-                venue="",
-                innings=tuple(innings),
-            )
-        )
+        records.append(MatchRecord(mid, fmt, _CSV_EPOCH, ("", ""), "", innings))
     return records, []
 
 
@@ -496,15 +552,11 @@ def trajectory(innings: InningsRecord, format: MatchFormat) -> InningsTrajectory
     Total runs are conserved exactly: the trajectory total equals the sum of
     batter and extras runs over all deliveries, legal or not.
     """
-    deliveries = innings.deliveries
-    if not deliveries:
+    if not innings.kind.size:
         raise ValueError("innings has no deliveries")
-
-    legal = np.fromiter((d.legal for d in deliveries), dtype=bool, count=len(deliveries))
-    runs = np.fromiter(
-        (d.total_runs for d in deliveries), dtype=np.int64, count=len(deliveries)
-    )
-    wkts = np.fromiter((d.wicket for d in deliveries), dtype=np.int64, count=len(deliveries))
+    legal = innings.legal
+    runs = innings.batter_runs + innings.extras_runs
+    wkts = innings.wicket
 
     n_legal = int(legal.sum())
     if n_legal > format.scheduled_balls:
@@ -580,20 +632,12 @@ def qualifying_trajectories(
 
 def _csv_rows(match: MatchRecord) -> Iterable[str]:
     for inn in match.innings:
-        for d in inn.deliveries:
-            yield ",".join(
-                (
-                    match.match_id,
-                    match.format.value,
-                    str(inn.innings_index),
-                    str(d.over),
-                    str(d.ball_in_over),
-                    "true" if d.legal else "false",
-                    str(d.batter_runs),
-                    str(d.extras_runs),
-                    d.extras_kind.value,
-                    "true" if d.wicket else "false",
-                )
+        head = f"{match.match_id},{match.format.value},{inn.innings_index}"
+        rows = zip(*(getattr(inn, c).tolist() for c in _COLUMNS), inn.legal.tolist())
+        for over, ball, batter, extras, kind, wicket, legal in rows:
+            yield (
+                f"{head},{over},{ball},{_CSV_BOOL[legal]},{batter},{extras},"
+                f"{_KINDS[kind].value},{_CSV_BOOL[wicket]}"
             )
 
 

@@ -234,11 +234,12 @@ def cmd_compare(args: argparse.Namespace) -> int:
     doc, scenario, revision = _revise(args)
     payload: dict = {"area_ratio": target_engine.revision_to_json(revision)}
 
-    fmt = _scenario_format(doc, args, scenario)
     table = None
     if args.dl_table:
         table = dl_reference.load_resource_table(args.dl_table)
     elif args.fixture or _data_dir(args) is not None:
+        # the format picks the corpus fit, so only this branch reads it
+        fmt = _scenario_format(doc, args, scenario)
         corpus = _corpus(args)
         family = dl_reference.fit_dl_family(corpus, fmt, min_support=args.min_support)
         table = dl_reference.resource_table(family, fmt.scheduled_overs)

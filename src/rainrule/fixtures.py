@@ -16,13 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .ball_log import (
-    DeliveryEvent,
-    ExtrasKind,
-    InningsRecord,
-    MatchFormat,
-    MatchRecord,
-)
+from .ball_log import _EXTRAS_PRECEDENCE, ExtrasKind, InningsRecord, MatchFormat, MatchRecord
 
 __all__ = [
     "DEFAULT_SEED",
@@ -108,43 +102,27 @@ def _synthetic_innings(
     run_draw = rng.choice(_RUN_VALUES, size=draws, p=probs)
     bye_draw = rng.integers(1, 3, size=draws)
 
-    deliveries: list[DeliveryEvent] = []
-    wickets = 0
-    legal = 0
-    over = 0
-    ball_in_over = 0
-    legal_in_over = 0
-    for i in range(draws):
-        if legal >= scheduled or wickets >= 10:
-            break
-        ball_in_over += 1
-        kind = kind_draw[i]
-        if kind < _WIDE_RATE + _NO_BALL_RATE:
-            illegal = ExtrasKind.WIDE if kind < _WIDE_RATE else ExtrasKind.NO_BALL
-            deliveries.append(DeliveryEvent(over, ball_in_over, 0, 1, illegal, False, False))
-            continue
-        if wicket_draw[i] < hazard:
-            event = DeliveryEvent(
-                over, ball_in_over, 0, 0, ExtrasKind.NONE, True, True
-            )
-            wickets += 1
-        elif kind > 1.0 - _BYE_RATE:
-            side = ExtrasKind.BYE if kind > 1.0 - _BYE_RATE / 2 else ExtrasKind.LEG_BYE
-            event = DeliveryEvent(
-                over, ball_in_over, 0, int(bye_draw[i]), side, False, True
-            )
-        else:
-            event = DeliveryEvent(
-                over, ball_in_over, int(run_draw[i]), 0, ExtrasKind.NONE, False, True
-            )
-        deliveries.append(event)
-        legal += 1
-        legal_in_over += 1
-        if legal_in_over == 6:
-            over += 1
-            legal_in_over = 0
-            ball_in_over = 0
-    return InningsRecord(innings_index=index, batting_team=team, deliveries=tuple(deliveries))
+    # a delivery is illegal (wide or no-ball), else a wicket, else a bye or
+    # leg-bye, else a scoring ball; the innings stops before the delivery
+    # after the last scheduled legal ball or the tenth wicket
+    illegal = kind_draw < _WIDE_RATE + _NO_BALL_RATE
+    wicket = ~illegal & (wicket_draw < hazard)
+    bye = ~illegal & ~wicket & (kind_draw > 1.0 - _BYE_RATE)
+    legal_before = np.cumsum(~illegal) - ~illegal
+    stop = (legal_before >= scheduled) | (np.cumsum(wicket) - wicket >= 10)
+    n = int(stop.argmax()) if stop.any() else draws
+    # an over ends after its sixth legal ball; ball_in_over counts every delivery
+    over = legal_before // 6
+    ball_in_over = np.arange(draws) - np.searchsorted(over, over) + 1
+    kind = np.select(
+        [kind_draw < _WIDE_RATE, illegal, bye & (kind_draw > 1.0 - _BYE_RATE / 2), bye],
+        [k.code for k in (ExtrasKind.WIDE, ExtrasKind.NO_BALL, ExtrasKind.BYE, ExtrasKind.LEG_BYE)],
+        ExtrasKind.NONE.code,
+    )
+    batter = np.where(illegal | wicket | bye, 0, run_draw)
+    extras = np.select([illegal, bye], [1, bye_draw], 0)
+    columns = (over, ball_in_over, batter, extras, kind, wicket)
+    return InningsRecord(index, team, *(column[:n] for column in columns))
 
 
 def synthetic_corpus(
@@ -204,36 +182,25 @@ def exponential_profile_corpus(format: MatchFormat) -> list[MatchRecord]:
     over_runs = [
         remaining[max_overs - k] - remaining[max_overs - k - 1] for k in range(max_overs)
     ]
-    matches = []
-    for w in range(10):
-        deliveries: list[DeliveryEvent] = []
-        fallen = 0
-        for k in range(max_overs):
-            for b in range(1, 7):
-                wicket = fallen < w
-                fallen += wicket
-                deliveries.append(
-                    DeliveryEvent(
-                        over=k,
-                        ball_in_over=b,
-                        batter_runs=over_runs[k] if b == 1 else 0,
-                        extras_runs=0,
-                        extras_kind=ExtrasKind.NONE,
-                        wicket=wicket,
-                        legal=True,
-                    )
-                )
-        matches.append(
-            MatchRecord(
-                match_id=f"{format.value}-profile-w{w}-00",
-                format=format,
-                date=date(2019, 1, 1),
-                teams=("Profile A", "Profile B"),
-                venue="Profile Park",
-                innings=(InningsRecord(1, f"Profile {w} down", tuple(deliveries)),),
-            )
+    balls = np.arange(6 * max_overs)
+    over, ball_in_over = balls // 6, balls % 6 + 1
+    batter = np.where(ball_in_over == 1, np.repeat(over_runs, 6), 0)
+    zero = np.zeros_like(balls)  # no extras, every delivery legal
+    return [
+        MatchRecord(
+            match_id=f"{format.value}-profile-w{w}-00",
+            format=format,
+            date=date(2019, 1, 1),
+            teams=("Profile A", "Profile B"),
+            venue="Profile Park",
+            innings=(
+                InningsRecord(
+                    1, f"Profile {w} down", over, ball_in_over, batter, zero, zero, balls < w
+                ),
+            ),
         )
-    return matches
+        for w in range(10)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -245,29 +212,19 @@ _EVENT_NAME = {
     MatchFormat.T20I: "Fixture T20 Internationals",
     MatchFormat.IPL: "Indian Premier League (fixture)",
 }
-_EXTRAS_KEY = {
-    ExtrasKind.WIDE: "wides",
-    ExtrasKind.NO_BALL: "noballs",
-    ExtrasKind.BYE: "byes",
-    ExtrasKind.LEG_BYE: "legbyes",
-    ExtrasKind.PENALTY: "penalty",
-}
+_EXTRAS_KEY = {kind.code: key for key, kind in _EXTRAS_PRECEDENCE}  # the reader's own keys
 
 
-def _delivery_doc(d: DeliveryEvent) -> dict:
+def _delivery_doc(batter: int, extras: int, kind: int, wicket: bool) -> dict:
     doc: dict = {
         "batter": "Batter",
         "bowler": "Bowler",
         "non_striker": "Runner",
-        "runs": {
-            "batter": d.batter_runs,
-            "extras": d.extras_runs,
-            "total": d.total_runs,
-        },
+        "runs": {"batter": batter, "extras": extras, "total": batter + extras},
     }
-    if d.extras_kind is not ExtrasKind.NONE:
-        doc["extras"] = {_EXTRAS_KEY[d.extras_kind]: d.extras_runs}
-    if d.wicket:
+    if kind in _EXTRAS_KEY:
+        doc["extras"] = {_EXTRAS_KEY[kind]: extras}
+    if wicket:
         doc["wickets"] = [{"kind": "bowled", "player_out": "Batter"}]
     return doc
 
@@ -277,17 +234,11 @@ def match_to_json(match: MatchRecord) -> dict:
     innings_docs = []
     for inn in match.innings:
         overs: dict[int, list[dict]] = {}
-        for d in inn.deliveries:
-            overs.setdefault(d.over, []).append(_delivery_doc(d))
-        innings_docs.append(
-            {
-                "team": inn.batting_team,
-                "overs": [
-                    {"over": over, "deliveries": docs}
-                    for over, docs in sorted(overs.items())
-                ],
-            }
-        )
+        columns = (inn.over, inn.batter_runs, inn.extras_runs, inn.kind, inn.wicket)
+        for over, batter, extras, kind, wicket in zip(*(column.tolist() for column in columns)):
+            overs.setdefault(over, []).append(_delivery_doc(batter, extras, kind, wicket))
+        over_docs = [{"over": over, "deliveries": docs} for over, docs in sorted(overs.items())]
+        innings_docs.append({"team": inn.batting_team, "overs": over_docs})
     return {
         "meta": {"data_version": "1.1.0", "revision": 1},
         "info": {

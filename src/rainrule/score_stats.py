@@ -123,7 +123,8 @@ def fit_normal(hist: Histogram) -> NormalFit:
 
     Initialised from the binned mean / standard deviation and
     ``amplitude0 = n_samples * bin_width``; converged when the relative RSS
-    change drops below 1e-10 (at most 500 iterations).
+    change drops below 1e-10.  A run that has not converged within 500
+    iterations raises :class:`DegenerateFitError`.
     """
     nonempty = int(np.count_nonzero(hist.counts))
     if nonempty < 4:
@@ -163,6 +164,8 @@ def _fit_normal_from_init(
         residuals, jacobian, np.array([xi0, sigma0, amp0]), accept=acceptable
     )
     xi, sigma, amplitude = (float(v) for v in outcome.params)
+    if not outcome.converged:
+        raise DegenerateFitError(f"no convergence in {outcome.iterations} iterations")
     if sigma <= _SIGMA_FLOOR or amplitude <= 0.0:
         raise DegenerateFitError(f"degenerate fit: sigma={sigma:g} amplitude={amplitude:g}")
     return NormalFit(xi=xi, sigma=sigma, amplitude=amplitude, rss=outcome.rss)

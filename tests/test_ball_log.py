@@ -10,7 +10,6 @@ import pytest
 
 from rainrule import (
     CSV_HEADER,
-    DeliveryEvent,
     ExtrasKind,
     InningsRecord,
     MatchFormat,
@@ -25,15 +24,22 @@ from rainrule import (
     qualifying_trajectories,
     trajectory,
 )
+from rainrule import fixtures
 from rainrule.fixtures import fixture_path, synthetic_corpus, write_corpus
 
 
 def legal(over, ball, batter=0, extras=0, kind=ExtrasKind.NONE, wicket=False):
-    return DeliveryEvent(over, ball, batter, extras, kind, wicket, True)
+    return (over, ball, batter, extras, kind.code, wicket)
 
 
 def illegal(over, ball, kind=ExtrasKind.WIDE, extras=1, batter=0, wicket=False):
-    return DeliveryEvent(over, ball, batter, extras, kind, wicket, False)
+    return (over, ball, batter, extras, kind.code, wicket)
+
+
+def innings_of(*rows, index=1):
+    """The innings whose columns hold these ``legal``/``illegal`` rows."""
+    columns = zip(*rows) if rows else [()] * 6
+    return InningsRecord(index, "X", *columns)
 
 
 # ---------------------------------------------------------------------------
@@ -229,6 +235,42 @@ BAD_FILES = [
         CSV_HEADER + "\nm1,t20i,1,0,1,true,0,10000000000,bye,false\n",
         "line 2",
     ),
+    (
+        "negative_batter_runs.json",
+        json_match(json_innings((0, [RUN, {"runs": {"batter": -1, "extras": 0}}]))),
+        "$.innings[0].overs[0].deliveries[1]",
+    ),
+    (
+        "wide_without_extras.json",
+        json_match(
+            json_innings(
+                (0, [RUN] * 6),
+                (1, [RUN, {"runs": {"batter": 0, "extras": 0}, "extras": {"wides": 0}}]),
+            )
+        ),
+        "$.innings[0].overs[1].deliveries[1]",
+    ),
+    # past int64: reported at the delivery, not at the innings as an overflow
+    (
+        "batter_runs_2_64.json",
+        json_match(json_innings((0, [RUN, RUN, {"runs": {"batter": 2**64, "extras": 0}}]))),
+        "$.innings[0].overs[0].deliveries[2]",
+    ),
+    (
+        "legal_flag_against_kind.csv",
+        CSV_HEADER + "\nm1,t20i,1,0,1,true,1,0,none,false\nm1,t20i,1,0,2,true,0,1,wide,false\n",
+        "line 3",
+    ),
+    (
+        "negative_over.csv",
+        CSV_HEADER + "\nm1,t20i,1,0,1,true,1,0,none,false\nm1,t20i,1,-1,2,true,0,0,none,false\n",
+        "line 3",
+    ),
+    (
+        "ball_in_over_zero.csv",
+        CSV_HEADER + "\nm1,t20i,1,0,1,true,1,0,none,false\nm1,t20i,1,0,0,true,0,0,none,false\n",
+        "line 3",
+    ),
 ]
 
 
@@ -300,22 +342,40 @@ def test_only_mens_internationals_and_the_ipl_load(tmp_path, text, expected):
 class TestRecordInvariants:
     def test_wide_must_carry_extras(self):
         with pytest.raises(ValueError, match="extra"):
-            DeliveryEvent(0, 1, 0, 0, ExtrasKind.WIDE, False, False)
+            innings_of(illegal(0, 1, extras=0))
 
     def test_legal_flag_must_match_kind(self):
-        with pytest.raises(ValueError, match="legal"):
-            DeliveryEvent(0, 1, 0, 1, ExtrasKind.WIDE, False, True)
-        with pytest.raises(ValueError, match="legal"):
-            DeliveryEvent(0, 1, 1, 0, ExtrasKind.NONE, False, False)
+        # only the CSV ball log spells legality out; the columns derive it from the kind
+        with pytest.raises(ParseError, match="legal"):
+            parse_match(CSV_HEADER + "\nm1,odi,1,0,1,true,0,1,wide,false\n")
+        with pytest.raises(ParseError, match="legal"):
+            parse_match(CSV_HEADER + "\nm1,odi,1,0,1,false,1,0,none,false\n")
 
     def test_deliveries_must_be_ordered(self):
         with pytest.raises(ValueError, match="order"):
-            InningsRecord(1, "X", (legal(1, 1), legal(0, 1)))
+            innings_of(legal(1, 1), legal(0, 1))
 
     def test_at_most_ten_wickets(self):
         events = tuple(legal(0, b, wicket=True) for b in range(1, 12))
         with pytest.raises(ValueError, match="10 wickets"):
-            InningsRecord(1, "X", events)
+            innings_of(*events)
+
+    def test_first_failing_delivery_is_reported(self):
+        negative = {"runs": {"batter": -1, "extras": 0}}
+        bare_wide = {"runs": {"batter": 0, "extras": 0}, "extras": {"wides": 0}}
+        # the first bad row opens an over that follows an empty one, and is not the last over
+        overs = (0, [RUN, RUN]), (1, []), (2, [negative, RUN, bare_wide]), (3, [RUN])
+        with pytest.raises(ParseError, match="negative runs") as caught:
+            parse_match(json_match(json_innings(*overs)))
+        assert caught.value.position == "$.innings[0].overs[2].deliveries[0]"
+
+    def test_columns_are_read_only_and_compared_by_value(self):
+        inn = innings_of(legal(0, 1, 1), illegal(0, 2))
+        assert inn.legal.tolist() == [True, False]
+        assert inn == innings_of(legal(0, 1, 1), illegal(0, 2))
+        assert inn != innings_of(legal(0, 1, 2), illegal(0, 2))
+        with pytest.raises(ValueError):
+            inn.batter_runs[0] = 4
 
 
 # ---------------------------------------------------------------------------
@@ -324,33 +384,29 @@ class TestRecordInvariants:
 
 class TestTrajectory:
     def test_ball_axis_counts_legal_only(self):
-        inn = InningsRecord(
-            1, "X", (legal(0, 1, 1), illegal(0, 2), legal(0, 3, 2), legal(0, 4, 0))
-        )
+        inn = innings_of(legal(0, 1, 1), illegal(0, 2), legal(0, 3, 2), legal(0, 4, 0))
         traj = trajectory(inn, MatchFormat.ODI)
         assert traj.ball.tolist() == [1, 2, 3]
         assert traj.completed_balls == 3
 
     def test_wide_credits_next_legal_ball(self):
-        inn = InningsRecord(1, "X", (illegal(0, 1, extras=1), legal(0, 2, 2)))
+        inn = innings_of(illegal(0, 1, extras=1), legal(0, 2, 2))
         traj = trajectory(inn, MatchFormat.ODI)
         assert traj.points == [(1, 3, 0)]
 
     def test_trailing_illegal_credits_previous_ball(self):
-        inn = InningsRecord(1, "X", (legal(0, 1, 1), illegal(0, 2, extras=1)))
+        inn = innings_of(legal(0, 1, 1), illegal(0, 2, extras=1))
         traj = trajectory(inn, MatchFormat.ODI)
         assert traj.points == [(1, 2, 0)]
         assert traj.total == 2
 
     def test_wicket_on_wide_follows_run_placement(self):
-        inn = InningsRecord(
-            1, "X", (illegal(0, 1, wicket=True), legal(0, 2, 1), legal(0, 3, 1))
-        )
+        inn = innings_of(illegal(0, 1, wicket=True), legal(0, 2, 1), legal(0, 3, 1))
         traj = trajectory(inn, MatchFormat.ODI)
         assert traj.wickets.tolist() == [1, 1]
 
     def test_all_illegal_innings_degenerates_to_one_point(self):
-        inn = InningsRecord(1, "X", (illegal(0, 1), illegal(0, 2, extras=2)))
+        inn = innings_of(illegal(0, 1), illegal(0, 2, extras=2))
         traj = trajectory(inn, MatchFormat.ODI)
         assert traj.points == [(1, 3, 0)]
         assert traj.completed_balls == 0
@@ -368,21 +424,20 @@ class TestTrajectory:
                 assert traj.completed_balls <= match.format.scheduled_balls
 
     def test_arrays_are_read_only(self):
-        inn = InningsRecord(1, "X", (legal(0, 1, 1),))
+        inn = innings_of(legal(0, 1, 1))
         traj = trajectory(inn, MatchFormat.ODI)
         with pytest.raises(ValueError):
             traj.runs[0] = 99
 
     def test_more_legal_balls_than_scheduled_rejected(self):
-        events = tuple(legal(i // 6, i % 6 + 1) for i in range(121))
-        inn = InningsRecord(1, "X", events)
+        inn = innings_of(*(legal(i // 6, i % 6 + 1) for i in range(121)))
         with pytest.raises(ValueError, match="schedule"):
             trajectory(inn, MatchFormat.T20I)
 
 
 def test_qualifying_trajectories_keep_full_and_all_out_innings():
     def match(match_id, fmt, index, events):
-        innings = (InningsRecord(index, "X", tuple(events)),)
+        innings = (innings_of(*events, index=index),)
         return MatchRecord(match_id, fmt, date(2019, 1, 1), ("A", "B"), "V", innings)
 
     def balls(n, wickets=()):
@@ -409,3 +464,96 @@ def test_synthetic_corpus_is_deterministic():
     assert a == b
     c = synthetic_corpus(MatchFormat.IPL, 3, seed=12)
     assert a != c
+
+
+def loop_innings(rng, format, index):
+    """Rows of the per-delivery loop the synthetic generator replaced: the reference."""
+    scheduled = format.scheduled_balls
+    probs = fixtures._run_probs(fixtures._MEAN_PER_BALL[(format, index)])
+    draws = scheduled + 60
+    kind_draw = rng.random(draws)
+    wicket_draw = rng.random(draws)
+    run_draw = rng.choice(fixtures._RUN_VALUES, size=draws, p=probs)
+    bye_draw = rng.integers(1, 3, size=draws)
+    rows, wickets, legal_balls, over, ball_in_over, legal_in_over = [], 0, 0, 0, 0, 0
+    for i in range(draws):
+        if legal_balls >= scheduled or wickets >= 10:
+            break
+        ball_in_over += 1
+        kind = kind_draw[i]
+        if kind < fixtures._WIDE_RATE + fixtures._NO_BALL_RATE:
+            wide = kind < fixtures._WIDE_RATE
+            rows.append(illegal(over, ball_in_over, ExtrasKind.WIDE if wide else ExtrasKind.NO_BALL))
+            continue
+        if wicket_draw[i] < fixtures._WICKET_HAZARD[format]:
+            rows.append(legal(over, ball_in_over, wicket=True))
+            wickets += 1
+        elif kind > 1.0 - fixtures._BYE_RATE:
+            side = ExtrasKind.BYE if kind > 1.0 - fixtures._BYE_RATE / 2 else ExtrasKind.LEG_BYE
+            rows.append(legal(over, ball_in_over, 0, int(bye_draw[i]), side))
+        else:
+            rows.append(legal(over, ball_in_over, int(run_draw[i])))
+        legal_balls += 1
+        legal_in_over += 1
+        if legal_in_over == 6:
+            over, legal_in_over, ball_in_over = over + 1, 0, 0
+    return rows
+
+
+@pytest.mark.parametrize("format", list(MatchFormat))
+def test_synthetic_innings_match_the_per_delivery_loop(format):
+    for seed in (1, 7919, fixtures.DEFAULT_SEED):
+        stream = [seed, fixtures._FORMAT_STREAM[format]]
+        columnar, looped = np.random.default_rng(stream), np.random.default_rng(stream)
+        for k in range(40):
+            index = 1 + k % 2
+            got = fixtures._synthetic_innings(columnar, format, index, "X")
+            assert got == innings_of(*loop_innings(looped, format, index), index=index)
+
+
+def first_broken_rule(rows):
+    """The per-delivery checks, then the innings checks, in the order the
+    record held them when it was one object per delivery: the reference."""
+    for row, (over, ball, batter, extras, kind, _) in enumerate(rows):
+        if over < 0 or ball < 1:
+            return row, "over must be >= 0 and ball_in_over >= 1"
+        if batter < 0 or extras < 0:
+            return row, "negative runs"
+        if batter > 100 or extras > 100:
+            return row, "more than 100 runs from one delivery"
+        if kind in (ExtrasKind.WIDE.code, ExtrasKind.NO_BALL.code) and extras < 1:
+            return row, "wide/no-ball must credit at least one extra run"
+    keys = [row[:2] for row in rows]
+    if any(b < a for a, b in zip(keys, keys[1:])):
+        return None, "deliveries not ordered by (over, ball_in_over)"
+    if sum(row[5] for row in rows) > 10:
+        return None, "more than 10 wickets in one innings"
+    return None, None
+
+
+def test_column_rules_match_the_per_delivery_checks():
+    rng = np.random.default_rng(5)
+    outcomes = set()
+    for _ in range(3000):
+        n = int(rng.integers(0, 14))
+        rows = [
+            (
+                int(rng.choice([-1, 0, 1, 2])) if rng.random() < 0.1 else int(r // 6),
+                int(rng.choice([0, 1, 7])) if rng.random() < 0.1 else int(r % 6 + 1),
+                int(rng.choice([-1, 101, 4])) if rng.random() < 0.05 else int(rng.integers(0, 7)),
+                int(rng.choice([-1, 101, 0])) if rng.random() < 0.05 else int(rng.integers(0, 3)),
+                int(rng.integers(0, len(ExtrasKind))),
+                bool(rng.random() < 0.8),
+            )
+            for r in range(n)
+        ]
+        row, message = first_broken_rule(rows)
+        outcomes.add(message)
+        if message is None:
+            innings_of(*rows)
+            continue
+        with pytest.raises(ValueError) as caught:
+            innings_of(*rows)
+        assert str(caught.value) == message
+        assert getattr(caught.value, "row", None) == row
+    assert len(outcomes) == 7  # every rule broken at least once, and valid innings

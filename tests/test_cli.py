@@ -313,6 +313,33 @@ class TestCompare:
         assert (out / "comparison.json").exists()
         assert json.loads(captured.out)["resource_model"] is not None
 
+    @pytest.mark.parametrize("source", ["dl_table", "none", "fixture"])
+    def test_scenario_format_is_read_only_to_fit_a_table(
+        self, tmp_path, capsys, monkeypatch, source
+    ):
+        # "test" is no limited-overs format, but only a corpus fit needs one
+        monkeypatch.delenv("RAINRULE_DATA_DIR", raising=False)
+        table_path = tmp_path / "table.csv"
+        family = fit_dl_family(
+            exponential_profile_corpus(MatchFormat.ODI), MatchFormat.ODI, min_support=1
+        )
+        table_path.write_text(resource_table_csv(resource_table(family, 50)))
+        scenario = write_json(tmp_path / "scenario.json", dict(WORKED_SCENARIO, format="test"))
+        fits = write_json(tmp_path / "fits.json", WORKED_FITS)
+        extra = {
+            "dl_table": ["--dl-table", str(table_path)],
+            "none": [],
+            "fixture": ["--fixture", "--out", str(tmp_path / "out")],
+        }[source]
+        code = main(["compare", "--scenario", str(scenario), "--fits", str(fits)] + extra)
+        captured = capsys.readouterr()
+        if source == "fixture":
+            assert code == 2
+            assert "unknown match format: 'test'" in captured.err
+        else:
+            assert code == 0
+            assert json.loads(captured.out)["area_ratio"]["revised_total"] == 230
+
     def test_bad_table_rejected(self, tmp_path, capsys):
         table_path = tmp_path / "table.csv"
         table_path.write_text("wrong,header\n1,2\n")

@@ -8,9 +8,7 @@ import numpy as np
 import pytest
 
 from rainrule import (
-    DeliveryEvent,
     EmptyCurveError,
-    ExtrasKind,
     InningsRecord,
     MatchFormat,
     MatchRecord,
@@ -32,19 +30,10 @@ from datetime import date
 
 def flat_innings(index, runs_per_ball, wicket_balls=()):
     """Innings of only legal deliveries with the given per-ball runs."""
-    events = tuple(
-        DeliveryEvent(
-            over=i // 6,
-            ball_in_over=i % 6 + 1,
-            batter_runs=runs,
-            extras_runs=0,
-            extras_kind=ExtrasKind.NONE,
-            wicket=(i + 1) in wicket_balls,
-            legal=True,
-        )
-        for i, runs in enumerate(runs_per_ball)
-    )
-    return InningsRecord(innings_index=index, batting_team="X", deliveries=events)
+    balls = np.arange(len(runs_per_ball))
+    zero = np.zeros_like(balls)  # no extras, every delivery legal
+    wicket = np.isin(balls + 1, list(wicket_balls))
+    return InningsRecord(index, "X", balls // 6, balls % 6 + 1, runs_per_ball, zero, zero, wicket)
 
 
 def one_innings_match(match_id, innings, format=MatchFormat.T20I):

@@ -19,6 +19,8 @@ from rainrule import (
     totals,
     trajectory,
 )
+from rainrule import leastsq, score_stats
+from rainrule.cli import main
 from rainrule.score_stats import _fit_normal_from_init, fit_summary
 
 
@@ -124,6 +126,23 @@ class TestFitNormal:
         hist = planted_histogram(200.0, 30.0, 500.0, 100.0, 300.0, 10.0)
         with pytest.raises(DegenerateFitError):
             _fit_normal_from_init(hist, 200.0, 0.0, 500.0)
+
+    def test_unconverged_run_is_not_a_fit(self, monkeypatch, tmp_path, capsys):
+        def stalled(*args, **kwargs):
+            outcome = leastsq.damped_gauss_newton(*args, **kwargs)
+            return leastsq.FitOutcome(outcome.params, outcome.rss, 500, converged=False)
+
+        monkeypatch.setattr(score_stats, "damped_gauss_newton", stalled)
+        hist = planted_histogram(272.5, 45.8, 1202.9, 100.0, 460.0, 10.0)
+        with pytest.raises(DegenerateFitError, match="no convergence in 500 iterations"):
+            fit_normal(hist)
+        # stats warns and skips each cell; with none left it is a fit error
+        code = main(["stats", "--fixture", "--format", "ipl", "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 4
+        assert "warning: ipl innings 1: no convergence" in err
+        assert "warning: ipl innings 2: no convergence" in err
+        assert list(tmp_path.iterdir()) == []
 
     def test_fit_is_deterministic(self, demo):
         values = totals(demo, MatchFormat.T20I, 1)
