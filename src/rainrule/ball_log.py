@@ -469,21 +469,21 @@ def _matches_from_csv(text: str) -> tuple[list[MatchRecord], list[str]]:
                 f"expected 10 fields, found {len(parts)}", position=f"line {line_no}"
             )
         mid, fmt_s, inn_s, over_s, bio_s, legal_s, br_s, er_s, kind_s, wicket_s = parts
-        fmt = MatchFormat.from_string(fmt_s)
-        match_fmt, by_index = by_match.setdefault(mid, (fmt, {}))
-        if match_fmt is not fmt:
-            raise ParseError(
-                f"conflicting formats for match {mid!r}", position=f"line {line_no}"
-            )
         try:
+            fmt = MatchFormat.from_string(fmt_s)
             innings_index = int(inn_s)
             row = (line_no, int(over_s), int(bio_s), int(br_s), int(er_s),
                    ExtrasKind(kind_s.strip()).code, _parse_bool(wicket_s))
             # the one field no column holds: legality follows from the kind
             if _parse_bool(legal_s) == (row[5] in _ILLEGAL_CODES):
                 raise ValueError("legal flag inconsistent with extras kind")
-        except ValueError as e:
+        except (UnsupportedFormatError, ValueError) as e:
             raise ParseError(f"bad delivery row: {e}", position=f"line {line_no}") from e
+        match_fmt, by_index = by_match.setdefault(mid, (fmt, {}))
+        if match_fmt is not fmt:
+            raise ParseError(
+                f"conflicting formats for match {mid!r}", position=f"line {line_no}"
+            )
         columns = by_index.setdefault(innings_index, [[] for _ in range(7)])
         for column, value in zip(columns, row):
             column.append(value)

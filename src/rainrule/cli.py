@@ -22,8 +22,9 @@ import sys
 from datetime import date
 from pathlib import Path
 
-from . import dl_reference, run_curves, score_stats, target_engine
-from .ball_log import Corpus, MatchFormat, export_csv, load_corpus
+# the batch modules, and numpy with them, are imported by the commands that
+# use them, so ``target`` loads only target_engine, fits and errors
+from . import target_engine
 from .errors import (
     DataError,
     EmptySelectionError,
@@ -33,15 +34,12 @@ from .errors import (
     ScenarioError,
     UnsupportedFormatError,
 )
-from .fixtures import demo_corpus
-from .run_curves import DEFAULT_DEGREE, DEFAULT_MIN_SUPPORT
+from .fits import DEFAULT_DEGREE, DEFAULT_MIN_SUPPORT, family_summary, fit_from_json
 
 EXIT_OK = 0
 EXIT_DATA = 2
 EXIT_SCENARIO = 3
 EXIT_FIT = 4
-
-_FORMATS = (MatchFormat.ODI, MatchFormat.T20I, MatchFormat.IPL)
 
 
 def _data_dir(args: argparse.Namespace) -> str | Path | None:
@@ -49,7 +47,11 @@ def _data_dir(args: argparse.Namespace) -> str | Path | None:
 
 
 def _corpus(args: argparse.Namespace) -> Corpus:
+    from .ball_log import Corpus, load_corpus
+
     if args.fixture:
+        from .fixtures import demo_corpus
+
         matches = sorted(demo_corpus(), key=lambda m: m.match_id)
         corpus = Corpus(tuple(matches), ())
     else:
@@ -100,14 +102,16 @@ def _emit(args: argparse.Namespace, name: str, payload: dict) -> int:
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:
+    from .ball_log import MatchFormat, export_csv
+
     corpus = _corpus(args)
     for diag in corpus.diagnostics:
         print(f"warning: {diag.source}: {diag.message}", file=sys.stderr)
-    counts = {fmt: 0 for fmt in _FORMATS}
+    counts = {fmt: 0 for fmt in MatchFormat}
     for match in corpus:
         counts[match.format] += 1
     print(f"matches: {len(corpus)}")
-    for fmt in _FORMATS:
+    for fmt in MatchFormat:
         print(f"  {fmt.value}: {counts[fmt]}")
     print(f"diagnostics: {len(corpus.diagnostics)}")
     if len(corpus) == 0:
@@ -124,8 +128,11 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
+    from . import score_stats
+    from .ball_log import MatchFormat
+
     corpus = _corpus(args)
-    formats = (args.format,) if args.format else _FORMATS
+    formats = (args.format,) if args.format else MatchFormat
     out = _output_dir(args)
 
     rows = []
@@ -165,6 +172,9 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 
 def cmd_curves(args: argparse.Namespace) -> int:
+    from . import run_curves
+    from .ball_log import MatchFormat
+
     corpus = _corpus(args)
     fmt = args.format or MatchFormat.ODI
     out = _output_dir(args)
@@ -187,7 +197,7 @@ def cmd_curves(args: argparse.Namespace) -> int:
         print("error: no wicket state could be fitted", file=sys.stderr)
         return EXIT_FIT
 
-    _write_json(out / f"poly_{fmt.value}_i{args.innings}.json", run_curves.family_summary(fitted))
+    _write_json(out / f"poly_{fmt.value}_i{args.innings}.json", family_summary(fitted))
     print(f"fitted {len(fitted)} of 10 wicket curves")
     print(f"wrote {len(fitted) + 1} files to {out}")
     return EXIT_OK
@@ -202,7 +212,7 @@ def _revise(args: argparse.Namespace) -> tuple:
     doc = _read_json(args.scenario)
     scenario = target_engine.scenario_from_json(doc)
     fits_doc = _read_json(args.fits)
-    fit = run_curves.fit_from_json(fits_doc, scenario.wickets_at_stoppage, str(args.fits))
+    fit = fit_from_json(fits_doc, scenario.wickets_at_stoppage, str(args.fits))
     revision = target_engine.revise_target(fit, scenario)
     if revision.ratio <= 0.0:
         print(json.dumps({"ratio": 0.0}, indent=2, sort_keys=True))
@@ -222,6 +232,8 @@ def cmd_target(args: argparse.Namespace) -> int:
 
 
 def _scenario_format(doc: dict, args: argparse.Namespace, scenario) -> MatchFormat:
+    from .ball_log import MatchFormat
+
     if "format" in doc:
         return MatchFormat.from_string(str(doc["format"]))
     if args.format is not None:
@@ -231,6 +243,8 @@ def _scenario_format(doc: dict, args: argparse.Namespace, scenario) -> MatchForm
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
+    from . import dl_reference
+
     doc, scenario, revision = _revise(args)
     payload: dict = {"area_ratio": target_engine.revision_to_json(revision)}
 
@@ -272,6 +286,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _format_arg(token: str) -> MatchFormat:
+    from .ball_log import MatchFormat
+
     try:
         return MatchFormat.from_string(token)
     except UnsupportedFormatError as e:

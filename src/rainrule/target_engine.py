@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DegenerateCurveError, InvalidScenarioError
-from .run_curves import PolyFit
+from .fits import PolyFit
 
 __all__ = [
     "InterruptionScenario",

@@ -271,6 +271,12 @@ BAD_FILES = [
         CSV_HEADER + "\nm1,t20i,1,0,1,true,1,0,none,false\nm1,t20i,1,0,0,true,0,0,none,false\n",
         "line 3",
     ),
+    # an unknown format cell is a malformed field like any other
+    (
+        "unknown_format.csv",
+        CSV_HEADER + "\nm1,t20i,1,0,1,true,1,0,none,false\nm2,test,1,0,1,true,1,0,none,false\n",
+        "line 3",
+    ),
 ]
 
 
