@@ -20,8 +20,8 @@ _HOMES = {
     "ball_log": (
         "CSV_HEADER", "Corpus", "Delivery", "Diagnostic", "ExtrasKind", "InningsRecord",
         "InningsTrajectory", "MatchFormat", "MatchRecord", "ParseWarning", "export_csv",
-        "innings_trajectories", "load_corpus", "parse_match", "qualifying_trajectories",
-        "trajectory",
+        "innings_trajectories", "load_corpus", "match_to_json", "parse_match",
+        "qualifying_trajectories", "trajectory",
     ),
     "dl_reference": (
         "DLCurve", "DLFamily", "ResourceTable", "fit_dl_curve", "fit_dl_family",

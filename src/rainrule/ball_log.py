@@ -1,6 +1,6 @@
 """Ball-by-ball match ingestion and per-innings cumulative trajectories.
 
-Reads two document kinds:
+Reads two document kinds, and writes each (:func:`match_to_json`, :func:`export_csv`):
 
 * Cricsheet-style JSON (one match per file), using ``info.match_type``,
   ``info.dates[0]``, ``info.teams``, ``info.venue`` and
@@ -55,6 +55,7 @@ __all__ = [
     "ParseWarning",
     "parse_match",
     "load_corpus",
+    "match_to_json",
     "trajectory",
     "innings_trajectories",
     "qualifying_trajectories",
@@ -627,7 +628,53 @@ def qualifying_trajectories(
 
 
 # ---------------------------------------------------------------------------
-# canonical CSV export
+# writing: Cricsheet JSON documents and the canonical CSV ball log
+
+# what _detect_format reads back as each format: IPL by its event name
+_MATCH_TYPE = {MatchFormat.ODI: "ODI", MatchFormat.T20I: "T20", MatchFormat.IPL: "T20"}
+_EVENT_NAME = {
+    MatchFormat.ODI: "Fixture ODI Series",
+    MatchFormat.T20I: "Fixture T20 Internationals",
+    MatchFormat.IPL: "Indian Premier League (fixture)",
+}
+_EXTRAS_KEY = {kind.code: key for key, kind in _EXTRAS_PRECEDENCE}
+
+
+def _delivery_doc(batter: int, extras: int, kind: int, wicket: bool) -> dict:
+    doc: dict = {
+        "batter": "Batter",
+        "bowler": "Bowler",
+        "non_striker": "Runner",
+        "runs": {"batter": batter, "extras": extras, "total": batter + extras},
+    }
+    if kind in _EXTRAS_KEY:
+        doc["extras"] = {_EXTRAS_KEY[kind]: extras}
+    if wicket:
+        doc["wickets"] = [{"kind": "bowled", "player_out": "Batter"}]
+    return doc
+
+
+def match_to_json(match: MatchRecord) -> dict:
+    """Cricsheet JSON document of ``match``; the file name carries its match id."""
+    innings_docs = []
+    for inn in match.innings:
+        overs: dict[int, list[dict]] = {}
+        columns = (inn.over, inn.batter_runs, inn.extras_runs, inn.kind, inn.wicket)
+        for over, batter, extras, kind, wicket in zip(*(column.tolist() for column in columns)):
+            overs.setdefault(over, []).append(_delivery_doc(batter, extras, kind, wicket))
+        over_docs = [{"over": over, "deliveries": docs} for over, docs in sorted(overs.items())]
+        innings_docs.append({"team": inn.batting_team, "overs": over_docs})
+    return {
+        "meta": {"data_version": "1.1.0", "revision": 1},
+        "info": {
+            "match_type": _MATCH_TYPE[match.format],
+            "dates": [match.date.isoformat()],
+            "teams": list(match.teams),
+            "venue": match.venue,
+            "event": {"name": _EVENT_NAME[match.format]},
+        },
+        "innings": innings_docs,
+    }
 
 
 def _csv_rows(match: MatchRecord) -> Iterable[str]:

@@ -47,24 +47,24 @@ def _data_dir(args: argparse.Namespace) -> str | Path | None:
 
 
 def _corpus(args: argparse.Namespace) -> Corpus:
+    """Every readable match of the source, by match id, dated up to ``--until``.
+
+    Each command applies ``--format`` where it selects its matches or innings."""
     from .ball_log import Corpus, load_corpus
 
     if args.fixture:
         from .fixtures import demo_corpus
 
-        matches = sorted(demo_corpus(), key=lambda m: m.match_id)
-        corpus = Corpus(tuple(matches), ())
+        source = Corpus(tuple(demo_corpus()))
+    elif (data_dir := _data_dir(args)) is not None:
+        source = load_corpus(data_dir)
     else:
-        data_dir = _data_dir(args)
-        if data_dir is None:
-            raise EmptySelectionError(
-                "no data source: pass --data-dir, set RAINRULE_DATA_DIR, or use --fixture"
-            )
-        corpus = load_corpus(data_dir, args.format)
-    if args.until is not None:
-        kept = tuple(m for m in corpus if m.date <= args.until)
-        corpus = Corpus(kept, corpus.diagnostics)
-    return corpus
+        raise EmptySelectionError(
+            "no data source: pass --data-dir, set RAINRULE_DATA_DIR, or use --fixture"
+        )
+    until = args.until or date.max
+    kept = sorted((m for m in source if m.date <= until), key=lambda m: m.match_id)
+    return Corpus(tuple(kept), source.diagnostics)
 
 
 def _output_dir(args: argparse.Namespace) -> Path:
@@ -107,18 +107,16 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     corpus = _corpus(args)
     for diag in corpus.diagnostics:
         print(f"warning: {diag.source}: {diag.message}", file=sys.stderr)
-    counts = {fmt: 0 for fmt in MatchFormat}
-    for match in corpus:
-        counts[match.format] += 1
-    print(f"matches: {len(corpus)}")
+    matches = [m for m in corpus if args.format in (None, m.format)]
+    print(f"matches: {len(matches)}")
     for fmt in MatchFormat:
-        print(f"  {fmt.value}: {counts[fmt]}")
+        print(f"  {fmt.value}: {sum(m.format is fmt for m in matches)}")
     print(f"diagnostics: {len(corpus.diagnostics)}")
-    if len(corpus) == 0:
+    if not matches:
         print("error: corpus is empty", file=sys.stderr)
         return EXIT_DATA
     if args.export_csv is not None:
-        rows = export_csv(corpus, args.export_csv)
+        rows = export_csv(matches, args.export_csv)
         print(f"exported {rows} deliveries to {args.export_csv}")
     return EXIT_OK
 
@@ -236,10 +234,8 @@ def _scenario_format(doc: dict, args: argparse.Namespace, scenario) -> MatchForm
 
     if "format" in doc:
         return MatchFormat.from_string(str(doc["format"]))
-    if args.format is not None:
-        return args.format
-    # fall back on the scheduled length
-    return MatchFormat.ODI if scenario.N >= 300 else MatchFormat.T20I
+    # then --format, then the scheduled length
+    return args.format or (MatchFormat.ODI if scenario.N >= 300 else MatchFormat.T20I)
 
 
 def cmd_compare(args: argparse.Namespace) -> int:

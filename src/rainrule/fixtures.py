@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .ball_log import _EXTRAS_PRECEDENCE, ExtrasKind, InningsRecord, MatchFormat, MatchRecord
+from .ball_log import ExtrasKind, InningsRecord, MatchFormat, MatchRecord, match_to_json
 
 __all__ = [
     "DEFAULT_SEED",
@@ -24,7 +24,6 @@ __all__ = [
     "synthetic_corpus",
     "demo_corpus",
     "exponential_profile_corpus",
-    "match_to_json",
     "write_corpus",
 ]
 
@@ -201,55 +200,6 @@ def exponential_profile_corpus(format: MatchFormat) -> list[MatchRecord]:
         )
         for w in range(10)
     ]
-
-
-# ---------------------------------------------------------------------------
-# writing matches back out as ball-by-ball JSON documents
-
-_MATCH_TYPE = {MatchFormat.ODI: "ODI", MatchFormat.T20I: "T20", MatchFormat.IPL: "T20"}
-_EVENT_NAME = {
-    MatchFormat.ODI: "Fixture ODI Series",
-    MatchFormat.T20I: "Fixture T20 Internationals",
-    MatchFormat.IPL: "Indian Premier League (fixture)",
-}
-_EXTRAS_KEY = {kind.code: key for key, kind in _EXTRAS_PRECEDENCE}  # the reader's own keys
-
-
-def _delivery_doc(batter: int, extras: int, kind: int, wicket: bool) -> dict:
-    doc: dict = {
-        "batter": "Batter",
-        "bowler": "Bowler",
-        "non_striker": "Runner",
-        "runs": {"batter": batter, "extras": extras, "total": batter + extras},
-    }
-    if kind in _EXTRAS_KEY:
-        doc["extras"] = {_EXTRAS_KEY[kind]: extras}
-    if wicket:
-        doc["wickets"] = [{"kind": "bowled", "player_out": "Batter"}]
-    return doc
-
-
-def match_to_json(match: MatchRecord) -> dict:
-    """Match document in the ball-by-ball JSON layout accepted by the parser."""
-    innings_docs = []
-    for inn in match.innings:
-        overs: dict[int, list[dict]] = {}
-        columns = (inn.over, inn.batter_runs, inn.extras_runs, inn.kind, inn.wicket)
-        for over, batter, extras, kind, wicket in zip(*(column.tolist() for column in columns)):
-            overs.setdefault(over, []).append(_delivery_doc(batter, extras, kind, wicket))
-        over_docs = [{"over": over, "deliveries": docs} for over, docs in sorted(overs.items())]
-        innings_docs.append({"team": inn.batting_team, "overs": over_docs})
-    return {
-        "meta": {"data_version": "1.1.0", "revision": 1},
-        "info": {
-            "match_type": _MATCH_TYPE[match.format],
-            "dates": [match.date.isoformat()],
-            "teams": list(match.teams),
-            "venue": match.venue,
-            "event": {"name": _EVENT_NAME[match.format]},
-        },
-        "innings": innings_docs,
-    }
 
 
 def write_corpus(matches, directory: str | Path) -> list[Path]:

@@ -20,6 +20,7 @@ from rainrule import (
     export_csv,
     innings_trajectories,
     load_corpus,
+    match_to_json,
     parse_match,
     qualifying_trajectories,
     trajectory,
@@ -163,6 +164,12 @@ class TestLoadCorpus:
         with pytest.raises(NotADirectoryError):
             load_corpus(tmp_path / "absent")
 
+    def test_match_to_json_reads_back_as_the_same_match(self, small_odi):
+        assert fixtures.match_to_json is match_to_json  # write_corpus's writer
+        for match in small_odi:
+            text = json.dumps(match_to_json(match))
+            assert parse_match(text, match_id=match.match_id) == match
+
     def test_write_corpus_round_trip(self, tmp_path, small_odi):
         write_corpus(small_odi, tmp_path)
         corpus = load_corpus(tmp_path)
@@ -276,6 +283,12 @@ BAD_FILES = [
         "unknown_format.csv",
         CSV_HEADER + "\nm1,t20i,1,0,1,true,1,0,none,false\nm2,test,1,0,1,true,1,0,none,false\n",
         "line 3",
+    ),
+    # a match id names one match, so all its rows carry one format
+    (
+        "conflicting_formats.csv",
+        CSV_HEADER + "\nm1,t20i,1,0,1,true,1,0,none,false\nm1,ipl,1,0,2,true,1,0,none,false\n",
+        "conflicting formats for match 'm1' (at line 3)",
     ),
 ]
 

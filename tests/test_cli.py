@@ -10,6 +10,7 @@ from rainrule import MatchFormat, fit_dl_family, resource_table, resource_table_
 from rainrule.ball_log import CSV_HEADER
 from rainrule.cli import main
 from rainrule.fixtures import (
+    demo_corpus,
     exponential_profile_corpus,
     fixture_path,
     match_to_json,
@@ -42,6 +43,49 @@ def data_dir(tmp_path_factory):
 def write_json(path, doc):
     path.write_text(json.dumps(doc), encoding="utf-8")
     return path
+
+
+# a chase of 120 scheduled balls in the shape of WORKED_SCENARIO
+SHORT_SCENARIO = dict(WORKED_SCENARIO, n=40, m=60, N=120, target_score=170, current_score=50)
+
+
+@pytest.fixture(scope="module")
+def demo_dir(tmp_path_factory):
+    """The ``--fixture`` corpus written out as one JSON file per match."""
+    root = tmp_path_factory.mktemp("demo")
+    write_corpus(demo_corpus(), root)
+    return root
+
+
+SOURCE_PARITY = {
+    "ingest": ["ingest", "--format", "odi", "--export-csv", "{out}/log.csv"],
+    "stats": ["stats", "--format", "ipl", "--out", "{out}"],
+    "curves": ["curves", "--format", "t20i", "--innings", "2", "--out", "{out}"],
+    # --format picks no matches here: the scenario's own format picks the fit
+    "compare": [
+        "compare", "--format", "odi", "--scenario", "{scenario}", "--fits", "{fits}",
+        "--out", "{out}",
+    ],
+}
+
+
+@pytest.mark.parametrize("command", SOURCE_PARITY)
+def test_fixture_and_its_directory_give_the_same_outputs(demo_dir, tmp_path, capsys, command):
+    scenario = write_json(tmp_path / "scenario.json", dict(SHORT_SCENARIO, format="ipl"))
+    fits = write_json(tmp_path / "fits.json", WORKED_FITS)
+    runs = []
+    for name, source in (("fixture", ["--fixture"]), ("dir", ["--data-dir", str(demo_dir)])):
+        out = tmp_path / name
+        out.mkdir()
+        fields = {"out": out, "scenario": scenario, "fits": fits}
+        code = main([arg.format(**fields) for arg in SOURCE_PARITY[command]] + source)
+        captured = capsys.readouterr()
+        files = {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+        streams = (stream.replace(str(out), "OUT") for stream in captured)
+        runs.append((code, *streams, files))
+    assert runs[0] == runs[1]
+    code, _, _, files = runs[0]
+    assert code == 0 and files
 
 
 class TestIngest:
@@ -340,6 +384,27 @@ class TestCompare:
             assert code == 0
             assert json.loads(captured.out)["area_ratio"]["revised_total"] == 230
 
+    @pytest.mark.parametrize(
+        "scenario, flags, fmt",
+        [
+            pytest.param(WORKED_SCENARIO, [], "odi", id="N=300"),
+            pytest.param(SHORT_SCENARIO, [], "t20i", id="N=120"),
+            pytest.param(SHORT_SCENARIO, ["--format", "ipl"], "ipl", id="N=120-format-ipl"),
+        ],
+    )
+    def test_scenario_without_format_falls_back(self, tmp_path, capsys, scenario, flags, fmt):
+        # the scenario's format, then --format, then ODI for N >= 300, else T20I
+        doc = {key: value for key, value in scenario.items() if key != "format"}
+        out = tmp_path / "out"
+        code = main(
+            ["compare", "--scenario", str(write_json(tmp_path / "scenario.json", doc)),
+             "--fits", str(write_json(tmp_path / "fits.json", WORKED_FITS)),
+             "--fixture", "--out", str(out)] + flags
+        )
+        capsys.readouterr()
+        assert code == 0
+        assert sorted(p.name for p in out.iterdir()) == ["comparison.json", f"resource_{fmt}.csv"]
+
     def test_bad_table_rejected(self, tmp_path, capsys):
         table_path = tmp_path / "table.csv"
         table_path.write_text("wrong,header\n1,2\n")
@@ -415,8 +480,15 @@ def scenario_text(**fields):
 
 
 # (scenario, fits, table cell) documents that crashed ``target`` or
-# ``compare``, printed non-JSON, or were read with a number truncated
+# ``compare``, printed non-JSON, or were read with a number truncated, and
+# files no JSON reader can read (bytes are written as they are, None not at all)
 DECISION_DOCUMENTS = {
+    "scenario_missing": (None, EXAMPLE_FITS, None, 2),
+    "scenario_bad_utf8": (
+        EXAMPLE_SCENARIO.encode().replace(b"odi", b"\xffdi"), EXAMPLE_FITS, None, 2
+    ),
+    "fits_5000_digit_integer": (EXAMPLE_SCENARIO, fit_text(b="1" * 5000), None, 2),
+    "fits_nested_100000_deep": (EXAMPLE_SCENARIO, "[" * 100_000 + "]" * 100_000, None, 2),
     "fits_list": (EXAMPLE_SCENARIO, "[]", None, 2),
     "fits_string": (EXAMPLE_SCENARIO, '"x"', None, 2),
     "fits_family_number": (EXAMPLE_SCENARIO, '{"fits": 5}', None, 2),
@@ -445,8 +517,9 @@ DECISION_DOCUMENTS = {
 @pytest.mark.parametrize("name", DECISION_DOCUMENTS)
 def test_decision_document_faults_exit_with_message(tmp_path, capsys, name):
     scenario, fits, cell, expected = DECISION_DOCUMENTS[name]
-    (tmp_path / "scenario.json").write_text(scenario)
-    (tmp_path / "fits.json").write_text(fits)
+    for file_name, doc in (("scenario.json", scenario), ("fits.json", fits)):
+        if doc is not None:
+            (tmp_path / file_name).write_bytes(doc if isinstance(doc, bytes) else doc.encode())
     argv = ["--scenario", str(tmp_path / "scenario.json"), "--fits", str(tmp_path / "fits.json")]
     if cell is None:
         code = main(["target"] + argv)
@@ -463,7 +536,7 @@ def test_decision_document_faults_exit_with_message(tmp_path, capsys, name):
     out, err = capsys.readouterr()
     assert code == expected
     assert out == ""
-    assert err.startswith("error: ")
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_stats_refuses_a_bin_width_needing_too_many_bins(data_dir, tmp_path, capsys):
