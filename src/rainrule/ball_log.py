@@ -110,7 +110,9 @@ class ExtrasKind(Enum):
 
 
 _KINDS = tuple(ExtrasKind)
-_ILLEGAL_CODES = (ExtrasKind.WIDE.code, ExtrasKind.NO_BALL.code)
+_NONE_CODE, _WIDE_CODE, _NO_BALL_CODE = (
+    ExtrasKind.NONE.code, ExtrasKind.WIDE.code, ExtrasKind.NO_BALL.code
+)
 
 # far above any real delivery: it keeps every innings sum exact in int64 and
 # float64, and a totals histogram in proportion to the input
@@ -211,7 +213,7 @@ class InningsRecord:
 
     @property
     def legal(self) -> np.ndarray:
-        return np.isin(self.kind, _ILLEGAL_CODES, invert=True)
+        return (self.kind != _WIDE_CODE) & (self.kind != _NO_BALL_CODE)
 
     @cached_property
     def deliveries(self) -> tuple[Delivery, ...]:
@@ -366,21 +368,26 @@ def _match_from_json(text: str, match_id: str | None) -> tuple[MatchRecord, list
                 dropped += sum(len(ov.get("deliveries", ())) for ov in entry.get("overs", ()))
                 continue
             columns: tuple[list, ...] = ([], [], [], [], [], [])
-            over_col, ball_col, batter_col, extras_col, kind_col, wicket_col = columns
+            add_over, add_ball, add_batter, add_extras, add_kind, add_wicket = (
+                column.append for column in columns
+            )
             starts = []  # the row of each over's first delivery
             for o, over_obj in enumerate(entry.get("overs", ())):
                 b = None
-                starts.append(len(over_col))
+                starts.append(len(columns[0]))
                 over = int(over_obj.get("over", 0))
                 for b, d in enumerate(over_obj.get("deliveries", ())):
                     runs = d.get("runs", {})
-                    over_col.append(over)
-                    ball_col.append(b + 1)
-                    batter_col.append(int(runs.get("batter", 0)))
-                    extras_col.append(int(runs.get("extras", 0)))
-                    kind_col.append(_extras_code(d.get("extras")))
-                    wicket_col.append(
-                        any(w.get("kind") not in _NOT_DISMISSALS for w in d.get("wickets") or ())
+                    add_over(over)
+                    add_ball(b + 1)
+                    add_batter(int(runs.get("batter", 0)))
+                    add_extras(int(runs.get("extras", 0)))
+                    extras = d.get("extras")
+                    add_kind(_extras_code(extras) if extras else _NONE_CODE)
+                    wickets = d.get("wickets")
+                    add_wicket(
+                        any(w.get("kind") not in _NOT_DISMISSALS for w in wickets)
+                        if wickets else False
                     )
             o = None
             innings.append(InningsRecord(i + 1, str(entry.get("team", "")), *columns))
@@ -439,10 +446,10 @@ _NOT_DISMISSALS = ("retired hurt", "retired not out")
 
 
 def _extras_code(extras) -> int:
-    for key, kind in _EXTRAS_PRECEDENCE if extras else ():
+    for key, kind in _EXTRAS_PRECEDENCE:
         if key in extras:
             return kind.code
-    return ExtrasKind.NONE.code
+    return _NONE_CODE
 
 
 def _parse_bool(token: str) -> bool:
@@ -454,13 +461,31 @@ def _parse_bool(token: str) -> bool:
     raise ValueError(f"bad boolean {token!r}")
 
 
+class _Memo(dict):
+    """``convert`` of each raw token, run once per distinct token; a token
+    that fails to convert is not kept, so it fails again wherever it recurs."""
+
+    def __init__(self, convert):
+        super().__init__()
+        self.convert = convert
+
+    def __missing__(self, token):
+        value = self[token] = self.convert(token)
+        return value
+
+
 def _matches_from_csv(text: str) -> tuple[list[MatchRecord], list[str]]:
     lines = text.splitlines()
     if not lines or lines[0].strip() != CSV_HEADER:
         raise ParseError("CSV header does not match the canonical ball log", position="line 1")
 
-    # match_id -> (format, innings index -> [line numbers, *columns]), first seen first
-    by_match: dict[str, tuple[MatchFormat, dict[int, list[list]]]] = {}
+    # the format, kind and flag cells take a handful of distinct tokens
+    formats = _Memo(MatchFormat.from_string)
+    kinds = _Memo(lambda token: ExtrasKind(token.strip()).code)
+    flags = _Memo(_parse_bool)
+    # match_id -> (format, innings index -> (line numbers, *columns)), first seen first
+    by_match: dict[str, tuple[MatchFormat, dict[int, tuple[list, ...]]]] = {}
+    mid_now = index_now = None  # the innings the previous row went to
     for line_no, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
@@ -471,23 +496,34 @@ def _matches_from_csv(text: str) -> tuple[list[MatchRecord], list[str]]:
             )
         mid, fmt_s, inn_s, over_s, bio_s, legal_s, br_s, er_s, kind_s, wicket_s = parts
         try:
-            fmt = MatchFormat.from_string(fmt_s)
+            fmt = formats[fmt_s]
             innings_index = int(inn_s)
-            row = (line_no, int(over_s), int(bio_s), int(br_s), int(er_s),
-                   ExtrasKind(kind_s.strip()).code, _parse_bool(wicket_s))
+            over, ball, batter, extras = int(over_s), int(bio_s), int(br_s), int(er_s)
+            kind = kinds[kind_s]
+            wicket = flags[wicket_s]
             # the one field no column holds: legality follows from the kind
-            if _parse_bool(legal_s) == (row[5] in _ILLEGAL_CODES):
+            if flags[legal_s] == (kind == _WIDE_CODE or kind == _NO_BALL_CODE):
                 raise ValueError("legal flag inconsistent with extras kind")
         except (UnsupportedFormatError, ValueError) as e:
             raise ParseError(f"bad delivery row: {e}", position=f"line {line_no}") from e
-        match_fmt, by_index = by_match.setdefault(mid, (fmt, {}))
-        if match_fmt is not fmt:
+        if mid != mid_now or innings_index != index_now:
+            match_fmt, by_index = by_match.setdefault(mid, (fmt, {}))
+            if innings_index not in by_index:
+                by_index[innings_index] = ([], [], [], [], [], [], [])
+            (add_line, add_over, add_ball, add_batter, add_extras, add_kind,
+             add_wicket) = (column.append for column in by_index[innings_index])
+            mid_now, index_now = mid, innings_index
+        if fmt is not match_fmt:
             raise ParseError(
                 f"conflicting formats for match {mid!r}", position=f"line {line_no}"
             )
-        columns = by_index.setdefault(innings_index, [[] for _ in range(7)])
-        for column, value in zip(columns, row):
-            column.append(value)
+        add_line(line_no)
+        add_over(over)
+        add_ball(ball)
+        add_batter(batter)
+        add_extras(extras)
+        add_kind(kind)
+        add_wicket(wicket)
 
     records = []
     for mid, (fmt, by_index) in by_match.items():
@@ -511,8 +547,10 @@ def load_corpus(
     """Parse every ``.json`` / ``.csv`` file in ``directory``.
 
     Per-file failures never abort the batch; they are collected as
-    diagnostics.  Matches are returned sorted by match_id, so the result does
-    not depend on filesystem enumeration order.
+    diagnostics.  Files are read in name order, and the first match read
+    under each match id is kept: every later copy is one diagnostic naming
+    the file it was first read from.  Matches are returned sorted by
+    match_id, so the result does not depend on filesystem enumeration order.
     """
     root = Path(directory)
     if not root.is_dir():
@@ -520,6 +558,7 @@ def load_corpus(
 
     matches: list[MatchRecord] = []
     diagnostics: list[Diagnostic] = []
+    first_read: dict[str, str] = {}  # match id -> the file it was kept from
     for path in sorted(root.iterdir()):
         suffix = path.suffix.lower()
         if suffix not in (".json", ".csv"):
@@ -535,7 +574,14 @@ def load_corpus(
             diagnostics.append(Diagnostic(path.name, str(e)))
             continue
         diagnostics.extend(Diagnostic(path.name, w) for w in warns)
-        matches.extend(parsed)
+        for match in parsed:
+            mid = match.match_id
+            if mid in first_read:
+                message = f"duplicate match id {mid!r} skipped: first read from {first_read[mid]}"
+                diagnostics.append(Diagnostic(path.name, message))
+            else:
+                first_read[mid] = path.name
+                matches.append(match)
 
     if format_filter is not None:
         matches = [m for m in matches if m.format is format_filter]

@@ -113,7 +113,13 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         print(f"  {fmt.value}: {sum(m.format is fmt for m in matches)}")
     print(f"diagnostics: {len(corpus.diagnostics)}")
     if not matches:
-        print("error: corpus is empty", file=sys.stderr)
+        read = len(corpus)
+        if read:
+            noun = "match" if read == 1 else "matches"
+            message = f"no {args.format.value} match among the {read} {noun} read"
+        else:
+            message = "corpus is empty"
+        print(f"error: {message}", file=sys.stderr)
         return EXIT_DATA
     if args.export_csv is not None:
         rows = export_csv(matches, args.export_csv)

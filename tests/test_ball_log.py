@@ -25,7 +25,7 @@ from rainrule import (
     qualifying_trajectories,
     trajectory,
 )
-from rainrule import fixtures
+from rainrule import ball_log, fixtures
 from rainrule.fixtures import fixture_path, synthetic_corpus, write_corpus
 
 
@@ -159,6 +159,30 @@ class TestLoadCorpus:
             (tmp_path / name).write_bytes(fixture_path(name).read_bytes())
         corpus = load_corpus(tmp_path, MatchFormat.T20I)
         assert [m.format for m in corpus] == [MatchFormat.T20I]
+
+    def test_duplicate_match_id_keeps_the_first_file_read(self, tmp_path):
+        (tmp_path / "tiny_odi.json").write_bytes(fixture_path("tiny_odi.json").read_bytes())
+        export_csv(load_corpus(tmp_path), tmp_path / "balls.csv")
+        corpus = load_corpus(tmp_path)
+        assert [m.match_id for m in corpus] == ["tiny_odi"]
+        assert corpus[0].date == date(1900, 1, 1)  # the CSV copy: balls.csv sorts first
+        assert [(d.source, d.message) for d in corpus.diagnostics] == [
+            ("tiny_odi.json", "duplicate match id 'tiny_odi' skipped: first read from balls.csv")
+        ]
+
+    def test_duplicate_match_ids_across_ball_logs(self, tmp_path):
+        odi = synthetic_corpus(MatchFormat.ODI, 3, seed=2)
+        ipl = synthetic_corpus(MatchFormat.IPL, 1, seed=2)
+        export_csv(odi[:2], tmp_path / "a.csv")
+        export_csv(odi[1:] + ipl, tmp_path / "b.csv")
+
+        def rows(matches):
+            return [(m.match_id, [inn.deliveries for inn in m.innings]) for m in matches]
+
+        corpus = load_corpus(tmp_path)
+        assert rows(corpus) == sorted(rows(odi + ipl))
+        message = f"duplicate match id {odi[1].match_id!r} skipped: first read from a.csv"
+        assert [(d.source, d.message) for d in corpus.diagnostics] == [("b.csv", message)]
 
     def test_missing_directory(self, tmp_path):
         with pytest.raises(NotADirectoryError):
@@ -388,6 +412,21 @@ class TestRecordInvariants:
             parse_match(json_match(json_innings(*overs)))
         assert caught.value.position == "$.innings[0].overs[2].deliveries[0]"
 
+    @pytest.mark.parametrize("kind", list(ExtrasKind))
+    def test_legal_follows_every_kind_code(self, kind):
+        inn = innings_of(legal(0, 1), (0, 2, 0, 1, kind.code, False))
+        illegal_kinds = (ExtrasKind.WIDE, ExtrasKind.NO_BALL)
+        assert inn.legal.tolist() == [True, kind not in illegal_kinds]
+        assert inn.legal.dtype == bool
+        assert [d.extras_kind for d in inn.deliveries] == [ExtrasKind.NONE, kind]
+
+    @pytest.mark.parametrize("code", [-1, len(ExtrasKind), 2**40, -(2**63)])
+    def test_out_of_range_kind_code_is_reported_at_its_row(self, code):
+        with pytest.raises(ValueError) as caught:
+            innings_of(legal(0, 1), (0, 2, 0, 1, code, False))
+        assert str(caught.value) == "unknown extras kind code"
+        assert caught.value.row == 1
+
     def test_columns_are_read_only_and_compared_by_value(self):
         inn = innings_of(legal(0, 1, 1), illegal(0, 2))
         assert inn.legal.tolist() == [True, False]
@@ -576,3 +615,175 @@ def test_column_rules_match_the_per_delivery_checks():
         assert str(caught.value) == message
         assert getattr(caught.value, "row", None) == row
     assert len(outcomes) == 7  # every rule broken at least once, and valid innings
+
+
+# ---------------------------------------------------------------------------
+# the CSV reader against the row-by-row reader it replaced
+
+
+def reference_bool(token):
+    t = token.strip().lower()
+    if t in ("true", "1"):
+        return True
+    if t in ("false", "0"):
+        return False
+    raise ValueError(f"bad boolean {token!r}")
+
+
+def reference_csv_matches(text):
+    """The reader that converted every token of every row: the reference."""
+    lines = text.splitlines()
+    if not lines or lines[0].strip() != CSV_HEADER:
+        raise ParseError("CSV header does not match the canonical ball log", position="line 1")
+    illegal_codes = (ExtrasKind.WIDE.code, ExtrasKind.NO_BALL.code)
+    by_match = {}
+    for line_no, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        parts = line.split(",")
+        if len(parts) != 10:
+            raise ParseError(f"expected 10 fields, found {len(parts)}", position=f"line {line_no}")
+        mid, fmt_s, inn_s, over_s, bio_s, legal_s, br_s, er_s, kind_s, wicket_s = parts
+        try:
+            fmt = MatchFormat.from_string(fmt_s)
+            innings_index = int(inn_s)
+            row = (line_no, int(over_s), int(bio_s), int(br_s), int(er_s),
+                   ExtrasKind(kind_s.strip()).code, reference_bool(wicket_s))
+            if reference_bool(legal_s) == (row[5] in illegal_codes):
+                raise ValueError("legal flag inconsistent with extras kind")
+        except (UnsupportedFormatError, ValueError) as e:
+            raise ParseError(f"bad delivery row: {e}", position=f"line {line_no}") from e
+        match_fmt, by_index = by_match.setdefault(mid, (fmt, {}))
+        if match_fmt is not fmt:
+            raise ParseError(f"conflicting formats for match {mid!r}", position=f"line {line_no}")
+        columns = by_index.setdefault(innings_index, [[] for _ in range(7)])
+        for column, value in zip(columns, row):
+            column.append(value)
+
+    records = []
+    for mid, (fmt, by_index) in by_match.items():
+        innings = []
+        for idx, (line_nos, *columns) in by_index.items():
+            try:
+                innings.append(InningsRecord(idx, "", *columns))
+            except ValueError as e:
+                if hasattr(e, "row"):
+                    position = f"line {line_nos[e.row]}"
+                    raise ParseError(f"bad delivery row: {e}", position=position) from e
+                raise ParseError(f"bad innings {idx} of match {mid!r}: {e}") from e
+        innings.sort(key=lambda inn: inn.innings_index)
+        records.append(MatchRecord(mid, fmt, date(1900, 1, 1), ("", ""), "", innings))
+    return records
+
+
+def read_both(text):
+    """What the CSV reader and the reference each make of ``text``: records or an error."""
+    outcomes = []
+    for reader in (lambda t: ball_log._matches_from_csv(t)[0], reference_csv_matches):
+        try:
+            outcomes.append(reader(text))
+        except ParseError as e:
+            outcomes.append(str(e))
+    return outcomes
+
+
+def exported_text(matches, tmp_path):
+    path = tmp_path / "balls.csv"
+    export_csv(matches, path)
+    return path.read_text()
+
+
+CSV_CORPORA = [("demo", None)] + [(fmt.value, seed) for fmt in MatchFormat for seed in (1, 7, 7919)]
+
+
+@pytest.mark.parametrize("name, seed", CSV_CORPORA, ids=[f"{n}-{s}" for n, s in CSV_CORPORA])
+def test_csv_reader_matches_the_row_by_row_reader(tmp_path, demo, name, seed):
+    matches = demo if seed is None else synthetic_corpus(MatchFormat(name), 6, seed=seed)
+    got, want = read_both(exported_text(matches, tmp_path))
+    assert isinstance(got, list) and got == want
+    assert [m.match_id for m in got] == [m.match_id for m in matches]
+
+
+# valid tokens in other spellings, and bad ones, for any cell
+CELL_TOKENS = [
+    "", " ", "x", "0", "1", "2", " 3", "+3", "1_0", "-1", "101", "9" * 20, "true", "false",
+    " TRUE", "False ", "yes", "odi", " ODI ", "t20i", "ipl", "test", "none", "wide", "no_ball",
+    " wide", "Wide", "bye", "leg_bye", "penalty", "m1", "m2",
+]
+
+
+def test_csv_reader_agrees_with_the_reference_on_corrupted_logs(tmp_path):
+    matches = synthetic_corpus(MatchFormat.T20I, 2, seed=3)
+    lines = exported_text(matches, tmp_path).splitlines()[:60]
+    rng = np.random.default_rng(17)
+    errors = set()
+    for _ in range(1500):
+        rows = [line.split(",") for line in lines[1:]]
+        # a few cells of one row, so a row often has several bad fields, then maybe another row
+        for n_cells in (int(rng.integers(1, 4)), int(rng.integers(0, 2))):
+            row = rows[int(rng.integers(len(rows)))]
+            for field in rng.choice(10, size=n_cells, replace=False):
+                row[field] = CELL_TOKENS[int(rng.integers(len(CELL_TOKENS)))]
+        text = "\n".join([lines[0]] + [",".join(row) for row in rows]) + "\n"
+        got, want = read_both(text)
+        assert got == want, text
+        if isinstance(got, str):
+            errors.add(got.split(":")[0])
+    assert len(errors) >= 3  # bad rows, bad innings and conflicting formats all occur
+
+
+GOOD_ROW = "m1,t20i,1,0,{ball},true,1,0,none,false"
+# field index -> a bad token there, and the error it gives
+BAD_CELLS = {
+    1: ("test", "unknown match format: 'test'"),
+    2: ("one", "invalid literal for int() with base 10: 'one'"),
+    3: ("0.5", "invalid literal for int() with base 10: '0.5'"),
+    4: ("", "invalid literal for int() with base 10: ''"),
+    5: ("yes", "bad boolean 'yes'"),
+    6: ("four", "invalid literal for int() with base 10: 'four'"),
+    7: ("1e3", "invalid literal for int() with base 10: '1e3'"),
+    8: ("wdie", "'wdie' is not a valid ExtrasKind"),
+    9: ("out", "bad boolean 'out'"),
+}
+
+
+def bad_row(ball, field, token):
+    cells = GOOD_ROW.format(ball=ball).split(",")
+    cells[field] = token
+    return ",".join(cells)
+
+
+@pytest.mark.parametrize("field", BAD_CELLS)
+def test_first_bad_csv_line_is_reported_whichever_field(tmp_path, field):
+    token, error = BAD_CELLS[field]
+    # every other cell of the bad rows holds a token valid on an earlier row,
+    # and the bad token recurs on the next line
+    rows = [GOOD_ROW.format(ball=b) for b in (1, 2)] + [bad_row(b, field, token) for b in (3, 4)]
+    (tmp_path / "log.csv").write_text("\n".join([CSV_HEADER, *rows]) + "\n")
+    corpus = load_corpus(tmp_path)
+    assert len(corpus) == 0
+    [diagnostic] = corpus.diagnostics
+    assert diagnostic.message == f"bad delivery row: {error} (at line 4)"
+
+
+def test_bad_token_after_the_same_token_in_another_field(tmp_path):
+    # "1" is a good flag and a good run count, so a later "1" as a kind is still bad
+    rows = [GOOD_ROW.format(ball=1), bad_row(2, 8, "1"), bad_row(3, 1, "1")]
+    (tmp_path / "log.csv").write_text("\n".join([CSV_HEADER, *rows]) + "\n")
+    [diagnostic] = load_corpus(tmp_path).diagnostics
+    assert diagnostic.message == "bad delivery row: '1' is not a valid ExtrasKind (at line 3)"
+
+
+def test_format_spellings_name_one_format(tmp_path):
+    rows = ["m1,odi,1,0,1,true,1,0,none,false", "m1, ODI ,1,0,2,true,0,0,none,false",
+            "m1,Odi,2,0,1,true,4,0,none,false"]
+    text = "\n".join([CSV_HEADER, *rows]) + "\n"
+    got, want = read_both(text)
+    assert got == want
+    [match] = got
+    assert match.format is MatchFormat.ODI
+    assert [inn.batter_runs.tolist() for inn in match.innings] == [[1, 0], [4]]
+    # a spelling of another format on the same match is still a conflict
+    conflict = text + "m1, T20I ,2,0,2,true,0,0,none,false\n"
+    got, want = read_both(conflict)
+    assert got == want == "conflicting formats for match 'm1' (at line 5)"

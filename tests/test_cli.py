@@ -118,6 +118,28 @@ class TestIngest:
         assert code == 2
         assert "broken.json" in captured.err
 
+    def test_format_matching_nothing_names_the_matches_read(self, tmp_path, capsys):
+        for name in ("tiny_t20i.json", "tiny_ipl.json"):
+            (tmp_path / name).write_bytes(fixture_path(name).read_bytes())
+        code = main(["ingest", "--data-dir", str(tmp_path), "--format", "odi"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "matches: 0" in captured.out
+        assert captured.err == "error: no odi match among the 2 matches read\n"
+
+    def test_exported_log_beside_its_source_counts_once(self, tmp_path, capsys):
+        (tmp_path / "tiny_odi.json").write_bytes(fixture_path("tiny_odi.json").read_bytes())
+        argv = ["ingest", "--data-dir", str(tmp_path)]
+        assert main(argv + ["--export-csv", str(tmp_path / "balls.csv")]) == 0
+        capsys.readouterr()
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert "matches: 1" in captured.out and "odi: 1" in captured.out
+        assert captured.err == (
+            "warning: tiny_odi.json: duplicate match id 'tiny_odi' skipped: "
+            "first read from balls.csv\n"
+        )
+
     def test_env_var_supplies_data_dir(self, data_dir, capsys, monkeypatch):
         monkeypatch.setenv("RAINRULE_DATA_DIR", str(data_dir))
         assert main(["ingest"]) == 0
