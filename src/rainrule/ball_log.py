@@ -12,10 +12,12 @@ Normalization rules applied while building trajectories:
 
 * the ball axis counts **legal deliveries only**, starting at 1, so a full
   ODI innings always spans 1..300;
-* runs from wides and no-balls are credited to the next legal ball (or the
-  previous one when an innings ends on an illegal delivery);
-* wickets follow the same index placement as the runs of their delivery;
-  a batter retired hurt or retired not out is not a wicket.
+* the point at each legal ball is the cumulative sum of runs and wickets over
+  every delivery bowled up to and including it, so runs and wickets on wides
+  and no-balls count at the next legal ball; the last legal ball also carries
+  the deliveries bowled after it, and an innings with no legal ball is one
+  point at ball 1;
+* a batter retired hurt or retired not out is not a wicket.
 
 An innings is one :class:`InningsRecord` of columns (over, ball_in_over,
 batter_runs, extras_runs, an extras-kind code, wicket), one row per delivery,
@@ -601,41 +603,22 @@ def trajectory(innings: InningsRecord, format: MatchFormat) -> InningsTrajectory
     """
     if not innings.kind.size:
         raise ValueError("innings has no deliveries")
-    legal = innings.legal
-    runs = innings.batter_runs + innings.extras_runs
-    wkts = innings.wicket
-
-    n_legal = int(legal.sum())
+    legal_rows = np.flatnonzero(innings.legal)
+    n_legal = legal_rows.size
     if n_legal > format.scheduled_balls:
         raise ValueError(
             f"innings has {n_legal} legal balls but the {format.value} schedule "
             f"is {format.scheduled_balls}"
         )
-    if n_legal == 0:
-        # all-illegal innings: one synthetic point at ball 1
-        return InningsTrajectory(
-            ball=np.array([1], dtype=np.int64),
-            runs=np.array([int(runs.sum())], dtype=np.int64),
-            wickets=np.array([int(wkts.sum())], dtype=np.int64),
-            total=int(runs.sum()),
-            completed_balls=0,
-        )
-
-    # legal ball index carried by each delivery: a legal ball keeps its own
-    # index, an illegal one credits the next legal ball (previous at the end)
-    own_index = np.cumsum(legal)
-    credit = np.where(legal, own_index, np.minimum(own_index + 1, n_legal))
-
-    per_ball_runs = np.bincount(credit, weights=runs, minlength=n_legal + 1)[1:]
-    per_ball_wkts = np.bincount(credit, weights=wkts, minlength=n_legal + 1)[1:]
-    cum_runs = np.round(np.cumsum(per_ball_runs)).astype(np.int64)
-    cum_wkts = np.round(np.cumsum(per_ball_wkts)).astype(np.int64)
-
+    # the row each point is read at: every legal ball but the last, then the
+    # last delivery, so the final point also carries any trailing illegal ones
+    at = np.append(legal_rows[:-1], innings.kind.size - 1)
+    runs = np.cumsum(innings.batter_runs + innings.extras_runs)[at]
     return InningsTrajectory(
-        ball=np.arange(1, n_legal + 1, dtype=np.int64),
-        runs=cum_runs,
-        wickets=cum_wkts,
-        total=int(cum_runs[-1]),
+        ball=np.arange(1, at.size + 1, dtype=np.int64),
+        runs=runs,
+        wickets=np.cumsum(innings.wicket, dtype=np.int64)[at],
+        total=int(runs[-1]),
         completed_balls=n_legal,
     )
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from datetime import date
@@ -35,11 +36,6 @@ from .errors import (
     UnsupportedFormatError,
 )
 from .fits import DEFAULT_DEGREE, DEFAULT_MIN_SUPPORT, family_summary, fit_from_json
-
-EXIT_OK = 0
-EXIT_DATA = 2
-EXIT_SCENARIO = 3
-EXIT_FIT = 4
 
 
 def _data_dir(args: argparse.Namespace) -> str | Path | None:
@@ -88,20 +84,19 @@ def _read_json(path: Path):
         raise ParseError(f"unreadable JSON: {e}", position=str(path))
 
 
-def _emit(args: argparse.Namespace, name: str, payload: dict) -> int:
+def _emit(args: argparse.Namespace, name: str, payload: dict) -> None:
     """Write ``payload`` to ``--out``/``name`` when asked, then print it."""
     if args.out:
         args.out.mkdir(parents=True, exist_ok=True)
         _write_json(args.out / name, payload)
     print(json.dumps(payload, indent=2, sort_keys=True))
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
 # ingest
 
 
-def cmd_ingest(args: argparse.Namespace) -> int:
+def cmd_ingest(args: argparse.Namespace) -> None:
     from .ball_log import MatchFormat, export_csv
 
     corpus = _corpus(args)
@@ -114,24 +109,20 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     print(f"diagnostics: {len(corpus.diagnostics)}")
     if not matches:
         read = len(corpus)
-        if read:
-            noun = "match" if read == 1 else "matches"
-            message = f"no {args.format.value} match among the {read} {noun} read"
-        else:
-            message = "corpus is empty"
-        print(f"error: {message}", file=sys.stderr)
-        return EXIT_DATA
+        if not read:
+            raise EmptySelectionError("corpus is empty")
+        noun = "match" if read == 1 else "matches"
+        raise EmptySelectionError(f"no {args.format.value} match among the {read} {noun} read")
     if args.export_csv is not None:
         rows = export_csv(matches, args.export_csv)
         print(f"exported {rows} deliveries to {args.export_csv}")
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
 # stats
 
 
-def cmd_stats(args: argparse.Namespace) -> int:
+def cmd_stats(args: argparse.Namespace) -> None:
     from . import score_stats
     from .ball_log import MatchFormat
 
@@ -159,8 +150,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
             rows.append((fmt.value, innings, hist.n_samples, fit))
 
     if not rows:
-        print("error: no (format, innings) cell could be fitted", file=sys.stderr)
-        return EXIT_FIT
+        raise FitError("no (format, innings) cell could be fitted")
     print(f"{'format':<8}{'innings':>8}{'n':>6}{'xi':>12}{'sigma':>12}{'amplitude':>14}")
     for fmt_name, innings, n, fit in rows:
         print(
@@ -168,14 +158,13 @@ def cmd_stats(args: argparse.Namespace) -> int:
             f"{fit.xi:>12.3f}{fit.sigma:>12.3f}{fit.amplitude:>14.3f}"
         )
     print(f"wrote {2 * len(rows)} files to {out}")
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
 # curves
 
 
-def cmd_curves(args: argparse.Namespace) -> int:
+def cmd_curves(args: argparse.Namespace) -> None:
     from . import run_curves
     from .ball_log import MatchFormat
 
@@ -198,13 +187,11 @@ def cmd_curves(args: argparse.Namespace) -> int:
         )
         fitted.append((curve, fit))
     if not fitted:
-        print("error: no wicket state could be fitted", file=sys.stderr)
-        return EXIT_FIT
+        raise FitError("no wicket state could be fitted")
 
     _write_json(out / f"poly_{fmt.value}_i{args.innings}.json", family_summary(fitted))
     print(f"fitted {len(fitted)} of 10 wicket curves")
     print(f"wrote {len(fitted) + 1} files to {out}")
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -226,9 +213,9 @@ def _revise(args: argparse.Namespace) -> tuple:
     return doc, scenario, revision
 
 
-def cmd_target(args: argparse.Namespace) -> int:
+def cmd_target(args: argparse.Namespace) -> None:
     _, _, revision = _revise(args)
-    return _emit(args, "revision.json", target_engine.revision_to_json(revision))
+    _emit(args, "revision.json", target_engine.revision_to_json(revision))
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +231,7 @@ def _scenario_format(doc: dict, args: argparse.Namespace, scenario) -> MatchForm
     return args.format or (MatchFormat.ODI if scenario.N >= 300 else MatchFormat.T20I)
 
 
-def cmd_compare(args: argparse.Namespace) -> int:
+def cmd_compare(args: argparse.Namespace) -> None:
     from . import dl_reference
 
     doc, scenario, revision = _revise(args)
@@ -280,7 +267,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
             "percent_at_restart": at_restart,
             "percent_lost": at_stop - at_restart,
         }
-    return _emit(args, "comparison.json", payload)
+    _emit(args, "comparison.json", payload)
 
 
 # ---------------------------------------------------------------------------
@@ -305,8 +292,8 @@ def _date_arg(token: str) -> date:
 
 def _positive_float(token: str) -> float:
     value = float(token)
-    if not value > 0:
-        raise argparse.ArgumentTypeError("must be positive")
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError("must be finite" if value > 0 else "must be positive")
     return value
 
 
@@ -397,16 +384,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the exit code of each error family; any other exception is a bug and keeps its traceback
+_EXIT_CODES = {DataError: 2, OSError: 2, ScenarioError: 3, FitError: 4}
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except (ScenarioError, DataError, FitError, OSError) as e:
+        args.func(args)
+    except tuple(_EXIT_CODES) as e:
         print(f"error: {e}", file=sys.stderr)
-        if isinstance(e, ScenarioError):
-            return EXIT_SCENARIO
-        return EXIT_FIT if isinstance(e, FitError) else EXIT_DATA
+        return next(code for family, code in _EXIT_CODES.items() if isinstance(e, family))
+    return 0
 
 
 if __name__ == "__main__":

@@ -107,9 +107,9 @@ def remaining_run_means(
     cells = []
     for traj in qualifying_trajectories(corpus, format, 1):
         marks = np.arange(0, min(traj.completed_balls, format.scheduled_balls - 6) + 1, 6)
-        at = np.maximum(marks - 1, 0)
-        runs_at = np.where(marks == 0, 0, traj.runs[at])
-        wkts_at = np.where(marks == 0, 0, traj.wickets[at])
+        # entry m is the state after m legal balls, the zero state first
+        runs_at = np.concatenate(([0], traj.runs))[marks]
+        wkts_at = np.concatenate(([0], traj.wickets))[marks]
         keep = wkts_at <= 9
         cells.append((wkts_at[keep], max_overs - marks[keep] // 6, traj.total - runs_at[keep]))
     grid = cell_means(cells, (10, max_overs + 1), min_support)

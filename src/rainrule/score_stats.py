@@ -88,8 +88,8 @@ def build_histogram(values: Sequence[int], bin_width: float) -> Histogram:
     vals = np.asarray(list(values), dtype=np.int64)
     if vals.size == 0:
         raise EmptySelectionError("cannot build a histogram from no values")
-    if not bin_width > 0:
-        raise ValueError("bin_width must be positive")
+    if not 0 < bin_width < math.inf:
+        raise ValueError("bin_width must be positive and finite")
     if vals.max() > _MAX_BINS * bin_width:  # also keeps the edge guard below finite
         raise DataError(f"bin width {bin_width!r}: over {_MAX_BINS:,} bins up to {vals.max()}")
 

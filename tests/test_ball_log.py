@@ -569,6 +569,107 @@ def test_synthetic_innings_match_the_per_delivery_loop(format):
             assert got == innings_of(*loop_innings(looped, format, index), index=index)
 
 
+def reference_trajectory(innings, format):
+    """The credit-index trajectory the cumulative sum replaced: the reference.
+
+    Each illegal delivery credits the next legal ball, or the last one when
+    no legal ball follows, and float ``bincount`` sums each ball's credits."""
+    if not innings.kind.size:
+        raise ValueError("innings has no deliveries")
+    legal = innings.legal
+    runs = innings.batter_runs + innings.extras_runs
+    wkts = innings.wicket
+    n_legal = int(legal.sum())
+    if n_legal > format.scheduled_balls:
+        raise ValueError(
+            f"innings has {n_legal} legal balls but the {format.value} schedule "
+            f"is {format.scheduled_balls}"
+        )
+    if n_legal == 0:
+        return ball_log.InningsTrajectory(
+            ball=np.array([1], dtype=np.int64),
+            runs=np.array([int(runs.sum())], dtype=np.int64),
+            wickets=np.array([int(wkts.sum())], dtype=np.int64),
+            total=int(runs.sum()),
+            completed_balls=0,
+        )
+    own_index = np.cumsum(legal)
+    credit = np.where(legal, own_index, np.minimum(own_index + 1, n_legal))
+    per_ball_runs = np.bincount(credit, weights=runs, minlength=n_legal + 1)[1:]
+    per_ball_wkts = np.bincount(credit, weights=wkts, minlength=n_legal + 1)[1:]
+    cum_runs = np.round(np.cumsum(per_ball_runs)).astype(np.int64)
+    cum_wkts = np.round(np.cumsum(per_ball_wkts)).astype(np.int64)
+    return ball_log.InningsTrajectory(
+        ball=np.arange(1, n_legal + 1, dtype=np.int64),
+        runs=cum_runs,
+        wickets=cum_wkts,
+        total=int(cum_runs[-1]),
+        completed_balls=n_legal,
+    )
+
+
+def trajectory_outcome(build, innings, format):
+    """Every field of the trajectory with its type or dtype, or the error raised."""
+    try:
+        traj = build(innings, format)
+    except ValueError as e:
+        return "error", str(e)
+    arrays = [(a.dtype, a.tolist()) for a in (traj.ball, traj.runs, traj.wickets)]
+    return arrays, [(type(v), v) for v in (traj.total, traj.completed_balls)]
+
+
+def test_demo_trajectories_match_the_credit_index_reference(demo):
+    innings = [(inn, match.format) for match in demo for inn in match.innings]
+    assert len(innings) > 100
+    for inn, fmt in innings:
+        assert trajectory_outcome(trajectory, inn, fmt) == trajectory_outcome(
+            reference_trajectory, inn, fmt
+        )
+
+
+def random_innings(rng):
+    """Up to 160 deliveries: mixed, all illegal, or with an illegal run
+    leading or trailing, and 0 to 10 wickets on any delivery, wides included."""
+    n = int(rng.integers(1, 161))
+    shape = int(rng.integers(4))
+    illegal = rng.random(n) < (0.15, 1.0, 0.15, 0.15)[shape]
+    if shape == 2:
+        illegal[: rng.integers(1, n + 1)] = True
+    elif shape == 3:
+        illegal[n - rng.integers(1, n + 1):] = True
+    codes = [kind.code for kind in ExtrasKind]
+    kind = np.where(
+        illegal,
+        rng.choice(codes[1:3], n),  # wide, no-ball
+        rng.choice([codes[0]] + codes[3:], n),
+    )
+    extras = rng.integers(0, 5, n) + illegal
+    wicket = np.zeros(n, dtype=bool)
+    wicket[rng.choice(n, int(rng.integers(0, min(n, 10) + 1)), replace=False)] = True
+    return InningsRecord(1, "X", np.zeros(n), np.arange(1, n + 1), rng.integers(0, 7, n),
+                         extras, kind, wicket)
+
+
+def test_random_trajectories_match_the_credit_index_reference():
+    rng = np.random.default_rng(20181)
+    seen = {"all illegal": 0, "leading illegal": 0, "trailing illegal": 0,
+            "wicket on a wide": 0, "ten wickets": 0, "no wicket": 0, "over length": 0}
+    for k in range(2400):
+        inn = random_innings(rng)
+        fmt = (MatchFormat.T20I, MatchFormat.ODI)[k % 2]  # a T20I may run over length
+        got = trajectory_outcome(trajectory, inn, fmt)
+        assert got == trajectory_outcome(reference_trajectory, inn, fmt)
+        legal, wickets = inn.legal, int(inn.wicket.sum())
+        seen["all illegal"] += not legal.any()
+        seen["leading illegal"] += not legal[0]
+        seen["trailing illegal"] += bool(legal.any() and not legal[-1])
+        seen["wicket on a wide"] += bool(np.any(inn.wicket & (inn.kind == ExtrasKind.WIDE.code)))
+        seen["ten wickets"] += wickets == 10
+        seen["no wicket"] += wickets == 0
+        seen["over length"] += got[0] == "error"
+    assert min(seen.values()) >= 20, seen
+
+
 def first_broken_rule(rows):
     """The per-delivery checks, then the innings checks, in the order the
     record held them when it was one object per delivery: the reference."""

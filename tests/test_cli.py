@@ -109,7 +109,7 @@ class TestIngest:
     def test_empty_directory(self, tmp_path, capsys):
         code = main(["ingest", "--data-dir", str(tmp_path)])
         assert code == 2
-        assert "empty" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: corpus is empty\n"
 
     def test_corrupt_only_directory(self, tmp_path, capsys):
         (tmp_path / "broken.json").write_text("{nope")
@@ -209,7 +209,8 @@ class TestCurves:
         )
         captured = capsys.readouterr()
         assert code == 4
-        assert "no wicket state" in captured.err
+        assert captured.err.endswith("\nerror: no wicket state could be fitted\n")
+        assert captured.err.count("error:") == 1
 
 
 def abandon(innings_doc):
@@ -571,10 +572,17 @@ def test_stats_refuses_a_bin_width_needing_too_many_bins(data_dir, tmp_path, cap
 
 
 class TestArgumentValidation:
-    def test_nonpositive_bin_width_rejected(self, data_dir):
+    @pytest.mark.parametrize(
+        "width, reason",
+        [("0", "positive"), ("-1", "positive"), ("nan", "positive"),
+         ("inf", "finite"), ("1e309", "finite")],
+    )
+    def test_nonpositive_bin_width_rejected(self, data_dir, width, reason, capsys):
+        # an infinite width once ended in a traceback from build_histogram
         with pytest.raises(SystemExit) as exc:
-            main(["stats", "--data-dir", str(data_dir), "--bin-width", "0"])
+            main(["stats", "--data-dir", str(data_dir), "--bin-width", width])
         assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(f"argument --bin-width: must be {reason}\n")
 
     def test_unknown_format_rejected(self, data_dir):
         with pytest.raises(SystemExit) as exc:
