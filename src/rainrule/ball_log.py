@@ -31,6 +31,7 @@ diagnostic in :func:`load_corpus`.
 from __future__ import annotations
 
 import json
+import re
 import warnings
 from bisect import bisect_right
 from collections.abc import Iterable, Iterator, Sequence
@@ -332,6 +333,14 @@ def _decode(data: bytes | str) -> str:
         raise ParseError("document is not valid UTF-8", position=f"byte {e.start}") from e
 
 
+def parse_date(text: str) -> date:
+    """The day ``text`` names in exactly ``YYYY-MM-DD`` form, ASCII digits only;
+    ``date.fromisoformat`` alone also reads ``20190105`` from Python 3.11 on."""
+    if not re.fullmatch(r"[0-9]{4}-[0-9]{2}-[0-9]{2}", text):
+        raise ValueError(f"Invalid isoformat string: {text!r}")
+    return date.fromisoformat(text)
+
+
 def _match_from_json(text: str, match_id: str | None) -> tuple[MatchRecord, list[str]]:
     try:
         doc = json.loads(text)
@@ -350,7 +359,7 @@ def _match_from_json(text: str, match_id: str | None) -> tuple[MatchRecord, list
         info = doc["info"]
         fmt = _detect_format(info)
         field = "$.info.dates"
-        match_date = date.fromisoformat(str(info["dates"][0]))
+        match_date = parse_date(str(info["dates"][0]))
         field = "$.info.teams"
         teams = info["teams"]
         if len(teams) != 2:
@@ -377,13 +386,15 @@ def _match_from_json(text: str, match_id: str | None) -> tuple[MatchRecord, list
             for o, over_obj in enumerate(entry.get("overs", ())):
                 b = None
                 starts.append(len(columns[0]))
-                over = int(over_obj.get("over", 0))
+                over = over_obj.get("over", 0)
+                if type(over) is not int:  # JSON integers only: no bool, float or string
+                    raise TypeError(f"over number {over!r} is not an integer")
                 for b, d in enumerate(over_obj.get("deliveries", ())):
                     runs = d.get("runs", {})
                     add_over(over)
                     add_ball(b + 1)
-                    add_batter(int(runs.get("batter", 0)))
-                    add_extras(int(runs.get("extras", 0)))
+                    add_batter(runs.get("batter", 0))
+                    add_extras(runs.get("extras", 0))
                     extras = d.get("extras")
                     add_kind(_extras_code(extras) if extras else _NONE_CODE)
                     wickets = d.get("wickets")
@@ -392,6 +403,10 @@ def _match_from_json(text: str, match_id: str | None) -> tuple[MatchRecord, list
                         if wickets else False
                     )
             o = None
+            for column in columns[2:4]:  # runs too are JSON integers: no bool, float or string
+                if not {int}.issuperset(map(type, column)):
+                    row = next(r for r, v in enumerate(column) if type(v) is not int)
+                    raise _RowError(row, f"run count {column[row]!r} is not an integer")
             innings.append(InningsRecord(i + 1, str(entry.get("team", "")), *columns))
         i = None
         record = MatchRecord(match_id, fmt, match_date, teams, venue, innings)

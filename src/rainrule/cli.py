@@ -237,7 +237,7 @@ def cmd_compare(args: argparse.Namespace) -> None:
     doc, scenario, revision = _revise(args)
     payload: dict = {"area_ratio": target_engine.revision_to_json(revision)}
 
-    table = None
+    table = fitted = None
     if args.dl_table:
         table = dl_reference.load_resource_table(args.dl_table)
     elif args.fixture or _data_dir(args) is not None:
@@ -245,9 +245,15 @@ def cmd_compare(args: argparse.Namespace) -> None:
         fmt = _scenario_format(doc, args, scenario)
         corpus = _corpus(args)
         family = dl_reference.fit_dl_family(corpus, fmt, min_support=args.min_support)
-        table = dl_reference.resource_table(family, fmt.scheduled_overs)
+        table = fitted = dl_reference.resource_table(family, fmt.scheduled_overs)
+    if table is not None and scenario.N // 6 > table.max_overs:
+        raise DataError(
+            f"the scenario's {scenario.N // 6} overs exceed the resource table's "
+            f"{table.max_overs}"
+        )
+    if fitted is not None:
         table_path = _output_dir(args) / f"resource_{fmt.value}.csv"
-        table_path.write_text(dl_reference.resource_table_csv(table), encoding="utf-8")
+        table_path.write_text(dl_reference.resource_table_csv(fitted), encoding="utf-8")
         print(f"wrote fitted resource table to {table_path}", file=sys.stderr)
 
     if table is None:
@@ -258,10 +264,11 @@ def cmd_compare(args: argparse.Namespace) -> None:
         )
         payload["resource_model"] = None
     else:
-        # a valid scenario has 0 <= n <= m <= N and 0..10 wickets, so both cells exist
+        # a valid scenario has 0 <= n <= m <= N and 0..10 wickets, and N fits the
+        # table, so both cells exist
         w = scenario.wickets_at_stoppage
-        at_stop = table.percentage(min((scenario.N - scenario.n) // 6, table.max_overs), w)
-        at_restart = table.percentage(min((scenario.N - scenario.m) // 6, table.max_overs), w)
+        at_stop = table.percentage((scenario.N - scenario.n) // 6, w)
+        at_restart = table.percentage((scenario.N - scenario.m) // 6, w)
         payload["resource_model"] = {
             "percent_at_stoppage": at_stop,
             "percent_at_restart": at_restart,
@@ -284,8 +291,10 @@ def _format_arg(token: str) -> MatchFormat:
 
 
 def _date_arg(token: str) -> date:
+    from .ball_log import parse_date
+
     try:
-        return date.fromisoformat(token)
+        return parse_date(token)
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad date {token!r}, expected YYYY-MM-DD")
 

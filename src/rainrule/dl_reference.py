@@ -66,20 +66,23 @@ class DLFamily(Sequence):
     """Per-wicket curve family with fit diagnostics.
 
     ``adjusted`` is set when the isotonic pass changed any z0; ``omitted``
-    lists wicket states skipped for lack of support.
+    lists the wicket states 0..9 that have no curve.
     """
 
     format: MatchFormat
     curves: tuple[DLCurve, ...]
     adjusted: bool = False
-    omitted: tuple[int, ...] = ()
 
     def __post_init__(self):
         object.__setattr__(self, "curves", tuple(self.curves))
-        object.__setattr__(self, "omitted", tuple(self.omitted))
         ws = [c.w for c in self.curves]
         if sorted(set(ws)) != ws:
             raise ValueError("curves must be sorted by w without duplicates")
+
+    @property
+    def omitted(self) -> tuple[int, ...]:
+        fitted = {c.w for c in self.curves}
+        return tuple(w for w in range(10) if w not in fitted)
 
     def __len__(self):
         return len(self.curves)
@@ -99,8 +102,8 @@ def remaining_run_means(
     Walks every first innings :func:`qualifying_trajectories` yields (full
     length or all out) and, at each whole-over mark with u >= 1 overs
     remaining, records the runs scored from that point to the end of the
-    innings under the wicket count at the mark.  Returns, per wicket state
-    w = 0..9 that has at least one supported cell, ascending arrays
+    innings under the wicket count at the mark.  Returns, in ascending w, per
+    wicket state 0..9 that has at least one supported cell, ascending arrays
     (u, mean, count) keeping only cells with count >= min_support.
     """
     max_overs = format.scheduled_overs
@@ -174,20 +177,17 @@ def fit_dl_family(
 ) -> DLFamily:
     """Fit the w = 0..9 curve family from first-innings remaining runs.
 
-    Wicket states with fewer than three supported cells are omitted
-    and reported in the family's ``omitted`` tuple.  Fitted z0 values are
+    Wicket states with fewer than three supported cells get no curve, so
+    the family's ``omitted`` tuple lists them.  Fitted z0 values are
     forced non-increasing in w by pooling adjacent violators; the family's
     ``adjusted`` flag records whether that changed anything.
     """
     points = remaining_run_means(corpus, format, min_support=min_support)
-    fitted: list[DLCurve] = []
-    omitted: list[int] = []
-    for w in range(10):
-        if w not in points or points[w][0].size < _MIN_POINTS:
-            omitted.append(w)
-            continue
-        u, means, _ = points[w]
-        fitted.append(fit_dl_curve(u, means, w))
+    fitted = [
+        fit_dl_curve(u, means, w)
+        for w, (u, means, _) in points.items()
+        if u.size >= _MIN_POINTS
+    ]
     if not fitted:
         raise InsufficientDataError(
             f"no wicket state has enough support to fit a {format.name} family"
@@ -199,25 +199,26 @@ def fit_dl_family(
             DLCurve(w=c.w, z0=new, decay=c.decay, rss=c.rss)
             for new, c in zip(pooled, fitted)
         ]
-    return DLFamily(
-        format=format, curves=tuple(fitted), adjusted=adjusted, omitted=tuple(omitted)
-    )
+    return DLFamily(format=format, curves=tuple(fitted), adjusted=adjusted)
 
 
 @dataclass(frozen=True)
 class ResourceTable:
     """Resource percentages indexed by overs remaining and wickets lost."""
 
-    max_overs: int
-    grid: np.ndarray = field(repr=False)  # shape (max_overs + 1, 11)
+    grid: np.ndarray = field(repr=False)  # [u, w]: u overs remaining, w wickets lost
 
     def __post_init__(self):
-        grid = np.asarray(self.grid, dtype=float)
-        if grid.shape != (self.max_overs + 1, 11):
-            raise ValueError(f"grid shape {grid.shape} does not match max_overs")
-        grid = grid.copy()
+        grid = np.array(self.grid, dtype=float)
+        if grid.ndim != 2 or grid.shape[0] < 1 or grid.shape[1] != 11:
+            raise ValueError(f"grid shape {grid.shape} is not (max_overs + 1, 11)")
         grid.flags.writeable = False
         object.__setattr__(self, "grid", grid)
+
+    @property
+    def max_overs(self) -> int:
+        """The last row's u, as the rows are u = 0..max_overs."""
+        return self.grid.shape[0] - 1
 
     def percentage(self, overs_remaining: int, wickets_lost: int) -> float:
         if not 0 <= overs_remaining <= self.max_overs:
@@ -250,7 +251,7 @@ def resource_table(family: Sequence[DLCurve], max_overs: int) -> ResourceTable:
         # full-allocation corner lands on 100.0 with no round-off
         raw = 100.0 * (curve.value(overs) / scale)
         grid[:, w] = raw if w == 0 else np.minimum(grid[:, w - 1], raw)
-    return ResourceTable(max_overs=max_overs, grid=grid)
+    return ResourceTable(grid)
 
 
 _TABLE_HEADER = "overs_remaining," + ",".join(str(w) for w in range(11))
@@ -268,8 +269,8 @@ def resource_table_csv(table: ResourceTable) -> str:
 def load_resource_table(path: str | Path) -> ResourceTable:
     """Read a table written by :func:`resource_table_csv`; rows must cover u = 0..max.
 
-    A malformed file, or a cell outside [0, 100] (``inf`` and ``nan`` too),
-    raises :class:`ParseError` positioned at ``path:line``.
+    A malformed file, a repeated row, or a cell outside [0, 100] (``inf`` and
+    ``nan`` too), raises :class:`ParseError` positioned at ``path:line``.
     """
     try:
         lines = Path(path).read_text(encoding="utf-8").splitlines()
@@ -288,12 +289,13 @@ def load_resource_table(path: str | Path) -> ResourceTable:
             cells = [float(v) for v in parts[1:]]
             if not all(0.0 <= cell <= 100.0 for cell in cells):  # also refuses nan
                 raise ValueError("cells must be percentages in [0, 100]")
-            rows[int(parts[0])] = cells
+            u = int(parts[0])
         except ValueError as e:
             raise ParseError(f"bad cell: {e}", position=f"{path}:{line_no}")
+        if u in rows:
+            raise ParseError(f"repeated row u = {u}", position=f"{path}:{line_no}")
+        rows[u] = cells
     # a length check, not a range of the labels: one huge label stays cheap
     if not rows or min(rows) != 0 or len(rows) != max(rows) + 1:
         raise ParseError(f"resource table rows must cover u = 0..max ({path})")
-    max_overs = max(rows)
-    grid = np.array([rows[u] for u in range(max_overs + 1)])
-    return ResourceTable(max_overs=max_overs, grid=grid)
+    return ResourceTable(np.array([rows[u] for u in range(len(rows))]))

@@ -44,7 +44,6 @@ class Histogram:
     bin_width: float
     bin_lower_edges: np.ndarray
     counts: np.ndarray
-    n_samples: int
 
     def __post_init__(self):
         self.bin_lower_edges.setflags(write=False)
@@ -53,6 +52,11 @@ class Histogram:
     @property
     def centers(self) -> np.ndarray:
         return self.bin_lower_edges + 0.5 * self.bin_width
+
+    @property
+    def n_samples(self) -> int:
+        """The sum of the counts, rounded, as counts need not be whole."""
+        return int(round(self.counts.sum()))
 
 
 @dataclass(frozen=True)
@@ -106,7 +110,6 @@ def build_histogram(values: Sequence[int], bin_width: float) -> Histogram:
         bin_width=float(bin_width),
         bin_lower_edges=edges[:-1],
         counts=counts.astype(np.int64),
-        n_samples=int(vals.size),
     )
 
 
@@ -123,8 +126,8 @@ def fit_normal(hist: Histogram) -> NormalFit:
 
     Initialised from the binned mean / standard deviation and
     ``amplitude0 = n_samples * bin_width``; converged when the relative RSS
-    change drops below 1e-10.  A run that has not converged within 500
-    iterations raises :class:`DegenerateFitError`.
+    change drops below 1e-10.  A starting sigma at or below 1e-9, or a run
+    that has not converged within 500 iterations, raises :class:`DegenerateFitError`.
     """
     nonempty = int(np.count_nonzero(hist.counts))
     if nonempty < 4:
@@ -137,16 +140,8 @@ def fit_normal(hist: Histogram) -> NormalFit:
     xi0 = float((counts * centers).sum() / mass)
     sigma0 = float(np.sqrt((counts * (centers - xi0) ** 2).sum() / mass))
     amp0 = float(hist.n_samples * hist.bin_width)
-    return _fit_normal_from_init(hist, xi0, sigma0, amp0)
-
-
-def _fit_normal_from_init(
-    hist: Histogram, xi0: float, sigma0: float, amp0: float
-) -> NormalFit:
     if sigma0 <= _SIGMA_FLOOR:
         raise DegenerateFitError(f"sigma collapsed below {_SIGMA_FLOOR:g}")
-    centers = hist.centers
-    counts = hist.counts.astype(float)
 
     def residuals(p: np.ndarray) -> np.ndarray:
         return normal_curve(centers, p[0], p[1], p[2]) - counts

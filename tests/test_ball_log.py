@@ -226,6 +226,29 @@ def json_info(**fields):
 
 
 BAD_FILES = [
+    # JSON integers only: int() read 4.9 as 4, "1" as 1 and true as 1
+    (
+        "batter_runs_float.json",
+        json_match(json_innings((0, [RUN, {"runs": {"batter": 4.9, "extras": 0}}]))),
+        "$.innings[0].overs[0].deliveries[1])",
+    ),
+    (
+        "extras_runs_string.json",
+        json_match(json_innings((0, [RUN, RUN, {"runs": {"batter": 0, "extras": "1"}}]))),
+        "$.innings[0].overs[0].deliveries[2])",
+    ),
+    (
+        "batter_runs_bool.json",
+        json_match(
+            json_innings((0, [RUN] * 6), (1, [RUN, {"runs": {"batter": True, "extras": 0}}]))
+        ),
+        "$.innings[0].overs[1].deliveries[1])",
+    ),
+    (
+        "over_float.json",
+        json_match(json_innings((0, [RUN] * 6), (2.5, [RUN]))),
+        "$.innings[0].overs[1])",
+    ),
     ("not_an_object.json", json_match(json_innings((0, [RUN])), "x"), "$.innings[1]"),
     (
         "bad_super_over.json",
@@ -351,6 +374,19 @@ def with_info(name, **fields):
     doc = json.loads(fixture_path(name).read_text())
     doc["info"].update(fields)
     return json.dumps(doc)
+
+
+# Python 3.11+ date.fromisoformat also reads the basic and week forms
+@pytest.mark.parametrize("day", ["2019-01-05", "20190105", "2019-W01-6", "2019W016"])
+def test_match_date_is_exactly_year_month_day(tmp_path, day):
+    (tmp_path / "match.json").write_text(with_info("tiny_odi.json", dates=[day]))
+    corpus = load_corpus(tmp_path)
+    if day == "2019-01-05":
+        assert [m.date for m in corpus] == [date(2019, 1, 5)] and corpus.diagnostics == ()
+    else:
+        assert len(corpus) == 0
+        [diag] = corpus.diagnostics
+        assert f"Invalid isoformat string: {day!r} (at $.info.dates)" in diag.message
 
 
 @pytest.mark.parametrize(

@@ -106,6 +106,18 @@ class TestIngest:
         assert code == 0
         assert "matches: 3" in captured.out  # one per format on the start date
 
+    # Python 3.11+ date.fromisoformat also reads the basic and week forms
+    @pytest.mark.parametrize("token", ["2019-01-05", "20190105", "2019-W01-6", "2019W016"])
+    def test_until_is_exactly_year_month_day(self, data_dir, capsys, token):
+        argv = ["ingest", "--data-dir", str(data_dir), "--until", token]
+        if token == "2019-01-05":
+            assert main(argv) == 0
+            return
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"bad date {token!r}, expected YYYY-MM-DD" in capsys.readouterr().err
+
     def test_empty_directory(self, tmp_path, capsys):
         code = main(["ingest", "--data-dir", str(tmp_path)])
         assert code == 2
@@ -427,6 +439,28 @@ class TestCompare:
         capsys.readouterr()
         assert code == 0
         assert sorted(p.name for p in out.iterdir()) == ["comparison.json", f"resource_{fmt}.csv"]
+
+    @pytest.mark.parametrize("source", ["dl_table", "fixture"])
+    def test_table_shorter_than_the_scenario_exits_2(self, tmp_path, capsys, source):
+        # both lookups used to land on the table's last row: percent_lost 0.0
+        table_path = tmp_path / "table.csv"
+        family = fit_dl_family(
+            exponential_profile_corpus(MatchFormat.ODI), MatchFormat.ODI, min_support=1
+        )
+        table_path.write_text(resource_table_csv(resource_table(family, 20)))
+        scenario = write_json(tmp_path / "scenario.json", dict(WORKED_SCENARIO, format="t20i"))
+        fits = write_json(tmp_path / "fits.json", WORKED_FITS)
+        out = tmp_path / "out"
+        source_flags = {"dl_table": ["--dl-table", str(table_path)], "fixture": ["--fixture"]}
+        code = main(
+            ["compare", "--scenario", str(scenario), "--fits", str(fits), "--out", str(out)]
+            + source_flags[source]
+        )
+        assert code == 2
+        assert capsys.readouterr() == (
+            "", "error: the scenario's 50 overs exceed the resource table's 20\n"
+        )
+        assert not out.exists()
 
     def test_bad_table_rejected(self, tmp_path, capsys):
         table_path = tmp_path / "table.csv"

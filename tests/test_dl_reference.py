@@ -11,6 +11,7 @@ from rainrule import (
     InsufficientDataError,
     MatchFormat,
     ParseError,
+    ResourceTable,
     fit_dl_curve,
     fit_dl_family,
     load_resource_table,
@@ -153,6 +154,13 @@ class TestResourceTable:
         with pytest.raises(IncompleteFamilyError):
             resource_table([DLCurve(w=1, z0=250.0, decay=0.04)], 50)
 
+    def test_max_overs_is_the_last_row(self, odi_table):
+        assert odi_table.max_overs == 50
+        assert ResourceTable(np.zeros((1, 11))).max_overs == 0
+        for shape in ((0, 11), (21, 10), (11,), (2, 11, 1)):
+            with pytest.raises(ValueError, match="is not"):
+                ResourceTable(np.zeros(shape))
+
     def test_out_of_range_lookup(self, odi_table):
         with pytest.raises(ValueError):
             odi_table.percentage(51, 0)
@@ -202,6 +210,11 @@ class TestResourceTable:
         with pytest.raises(ParseError) as exc:
             load_resource_table(path)
         assert exc.value.position == f"{path}:3"
+        # a repeated row label used to overwrite the first row silently
+        path.write_text("\n".join(rows + ["30" + ",1.0" * 11]) + "\n")
+        with pytest.raises(ParseError, match="repeated row u = 30") as exc:
+            load_resource_table(path)
+        assert exc.value.position == f"{path}:{len(rows) + 1}"
         path.write_text("\n".join(rows[:-1]) + "\n")
         with pytest.raises(ParseError, match="u = 0..max"):
             load_resource_table(path)

@@ -23,7 +23,7 @@ from rainrule import (
 )
 from rainrule import leastsq, score_stats
 from rainrule.cli import main
-from rainrule.score_stats import _fit_normal_from_init, fit_summary
+from rainrule.score_stats import fit_summary
 
 
 def planted_histogram(xi, sigma, amplitude, lo, hi, width):
@@ -31,12 +31,7 @@ def planted_histogram(xi, sigma, amplitude, lo, hi, width):
     edges = np.arange(lo, hi, width, dtype=float)
     centers = edges + width / 2.0
     counts = normal_curve(centers, xi, sigma, amplitude)
-    return Histogram(
-        bin_width=float(width),
-        bin_lower_edges=edges,
-        counts=counts,
-        n_samples=int(round(counts.sum())),
-    )
+    return Histogram(bin_width=float(width), bin_lower_edges=edges, counts=counts)
 
 
 class TestTotals:
@@ -114,7 +109,6 @@ class TestFitNormal:
             bin_width=10.0,
             bin_lower_edges=np.array([80.0, 90.0, 100.0, 110.0]),
             counts=np.array([5.0, 20.0, 20.0, 5.0]),
-            n_samples=50,
         )
         fit = fit_normal(hist)
         assert fit.xi == pytest.approx(100.0, abs=1e-8)
@@ -126,9 +120,15 @@ class TestFitNormal:
             fit_normal(hist)
 
     def test_degenerate_sigma_rejected(self):
-        hist = planted_histogram(200.0, 30.0, 500.0, 100.0, 300.0, 10.0)
-        with pytest.raises(DegenerateFitError):
-            _fit_normal_from_init(hist, 200.0, 0.0, 500.0)
+        # four bins 1e-12 apart start sigma far below the 1e-9 floor
+        hist = Histogram(
+            bin_width=1e-12,
+            bin_lower_edges=200.0 + 1e-12 * np.arange(4),
+            counts=np.array([1.0, 3.0, 3.0, 1.0]),
+        )
+        assert hist.n_samples == 8
+        with pytest.raises(DegenerateFitError, match="sigma collapsed below 1e-09"):
+            fit_normal(hist)
 
     def test_unconverged_run_is_not_a_fit(self, monkeypatch, tmp_path, capsys):
         def stalled(*args, **kwargs):
