@@ -123,6 +123,7 @@ _MAX_DELIVERY_RUNS = 100
 
 _I64 = np.iinfo(np.int64)
 _COLUMNS = ("over", "ball_in_over", "batter_runs", "extras_runs", "kind", "wicket")
+_COLUMN_DTYPES = {name: bool if name == "wicket" else np.int64 for name in _COLUMNS}
 
 
 class Delivery(NamedTuple):
@@ -160,6 +161,15 @@ def _column(values, dtype) -> np.ndarray:
     return column
 
 
+def freeze_columns(record, **dtypes) -> None:
+    """Set each named array field of a record to a read-only :func:`_column` copy of
+    its dtype (``None`` keeps the given one); unequal shapes raise ``ValueError``."""
+    for name, dtype in dtypes.items():
+        object.__setattr__(record, name, _column(getattr(record, name), dtype))
+    if len({getattr(record, name).shape for name in dtypes}) != 1:
+        raise ValueError("columns differ in length")
+
+
 @dataclass(frozen=True, eq=False)
 class InningsRecord:
     """One innings as columns, one row per delivery, legal or not.
@@ -183,11 +193,7 @@ class InningsRecord:
     def __post_init__(self):
         if self.innings_index not in (1, 2):
             raise ValueError("innings_index must be 1 or 2")
-        for name in _COLUMNS:
-            dtype = bool if name == "wicket" else np.int64
-            object.__setattr__(self, name, _column(getattr(self, name), dtype))
-        if len({getattr(self, name).shape for name in _COLUMNS}) != 1:
-            raise ValueError("columns differ in length")
+        freeze_columns(self, **_COLUMN_DTYPES)
 
         over, ball, batter, extras = self.over, self.ball_in_over, self.batter_runs, self.extras_runs
         cap = _MAX_DELIVERY_RUNS
@@ -258,8 +264,7 @@ class InningsTrajectory:
     completed_balls: int
 
     def __post_init__(self):
-        for arr in (self.ball, self.runs, self.wickets):
-            arr.setflags(write=False)
+        freeze_columns(self, ball=None, runs=None, wickets=None)
 
     @property
     def points(self) -> list[tuple[int, int, int]]:

@@ -313,7 +313,7 @@ def _positive_int(token: str) -> int:
     return value
 
 
-def _add_corpus_flags(sp: argparse.ArgumentParser) -> None:
+def _add_corpus_flags(sp: argparse.ArgumentParser, out_help: str = "output directory") -> None:
     sp.add_argument(
         "--data-dir",
         type=Path,
@@ -339,7 +339,7 @@ def _add_corpus_flags(sp: argparse.ArgumentParser) -> None:
         metavar="YYYY-MM-DD",
         help="keep only matches dated on or before this day",
     )
-    sp.add_argument("--out", type=Path, default=None, help="output directory")
+    sp.add_argument("--out", type=Path, default=None, help=out_help)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -350,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_ingest = sub.add_parser("ingest", help="load a corpus and report counts")
-    _add_corpus_flags(p_ingest)
+    _add_corpus_flags(p_ingest, out_help="accepted, but ingest writes nothing there")
     p_ingest.add_argument(
         "--export-csv", type=Path, default=None, metavar="FILE",
         help="write the normalized ball log CSV",

@@ -12,12 +12,12 @@ revise targets end-to-end.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
-from .ball_log import MatchFormat, MatchRecord, qualifying_trajectories
+from .ball_log import MatchFormat, MatchRecord, freeze_columns, qualifying_trajectories
 from .errors import DegenerateFitError, IncompleteFamilyError, InsufficientDataError, ParseError
 from .leastsq import damped_gauss_newton
 from .run_curves import DEFAULT_MIN_SUPPORT, cell_means
@@ -180,7 +180,8 @@ def fit_dl_family(
     Wicket states with fewer than three supported cells get no curve, so
     the family's ``omitted`` tuple lists them.  Fitted z0 values are
     forced non-increasing in w by pooling adjacent violators; the family's
-    ``adjusted`` flag records whether that changed anything.
+    ``adjusted`` flag records whether that changed anything, and a curve
+    whose z0 changed carries the RSS of its pooled parameters.
     """
     points = remaining_run_means(corpus, format, min_support=min_support)
     fitted = [
@@ -194,11 +195,11 @@ def fit_dl_family(
         )
     pooled = _pool_nonincreasing([c.z0 for c in fitted])
     adjusted = any(new != old.z0 for new, old in zip(pooled, fitted))
-    if adjusted:
-        fitted = [
-            DLCurve(w=c.w, z0=new, decay=c.decay, rss=c.rss)
-            for new, c in zip(pooled, fitted)
-        ]
+    for i, (new, c) in enumerate(zip(pooled, fitted)):
+        if new != c.z0:
+            u, means, _ = points[c.w]
+            c = replace(c, z0=new)
+            fitted[i] = replace(c, rss=float(np.sum((c.value(u) - means) ** 2)))
     return DLFamily(format=format, curves=tuple(fitted), adjusted=adjusted)
 
 
@@ -209,11 +210,9 @@ class ResourceTable:
     grid: np.ndarray = field(repr=False)  # [u, w]: u overs remaining, w wickets lost
 
     def __post_init__(self):
-        grid = np.array(self.grid, dtype=float)
-        if grid.ndim != 2 or grid.shape[0] < 1 or grid.shape[1] != 11:
-            raise ValueError(f"grid shape {grid.shape} is not (max_overs + 1, 11)")
-        grid.flags.writeable = False
-        object.__setattr__(self, "grid", grid)
+        freeze_columns(self, grid=float)
+        if self.grid.ndim != 2 or self.grid.shape[0] < 1 or self.grid.shape[1] != 11:
+            raise ValueError(f"grid shape {self.grid.shape} is not (max_overs + 1, 11)")
 
     @property
     def max_overs(self) -> int:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ball_log import MatchFormat, MatchRecord, qualifying_trajectories
+from .ball_log import MatchFormat, MatchRecord, freeze_columns, qualifying_trajectories
 from .errors import EmptyCurveError, SingularFitError
 from .fits import (
     DEFAULT_DEGREE,
@@ -60,15 +60,9 @@ class WicketCurve:
     def __post_init__(self):
         if not 0 <= self.wickets <= 10:
             raise ValueError("wickets must be in [0, 10]")
-        order = np.argsort(self.balls, kind="stable")
-        balls = np.asarray(self.balls, dtype=np.int64)[order]
-        if np.any(np.diff(balls) == 0):
-            raise ValueError("duplicate ball values in curve")
-        object.__setattr__(self, "balls", balls)
-        object.__setattr__(self, "means", np.asarray(self.means, dtype=float)[order])
-        object.__setattr__(self, "support", np.asarray(self.support, dtype=np.int64)[order])
-        for arr in (self.balls, self.means, self.support):
-            arr.setflags(write=False)
+        freeze_columns(self, balls=np.int64, means=float, support=np.int64)
+        if np.any(np.diff(self.balls) <= 0):
+            raise ValueError("duplicate or unordered ball values in curve")
 
     def __len__(self) -> int:
         return len(self.balls)

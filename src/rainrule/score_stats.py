@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ball_log import MatchFormat, MatchRecord, innings_trajectories
+from .ball_log import MatchFormat, MatchRecord, freeze_columns, innings_trajectories
 from .errors import DataError, DegenerateFitError, EmptySelectionError, InsufficientDataError
 from .leastsq import damped_gauss_newton
 
@@ -46,8 +46,7 @@ class Histogram:
     counts: np.ndarray
 
     def __post_init__(self):
-        self.bin_lower_edges.setflags(write=False)
-        self.counts.setflags(write=False)
+        freeze_columns(self, bin_lower_edges=None, counts=None)
 
     @property
     def centers(self) -> np.ndarray:
@@ -87,14 +86,16 @@ def build_histogram(values: Sequence[int], bin_width: float) -> Histogram:
     """Bin integer values into uniform left-closed bins.
 
     The lowest edge is ``floor(min/bin_width) * bin_width``, the counts sum to
-    the sample count, and a width needing over 100,000 bins raises :class:`DataError`.
+    the sample count, and a width needing over 100,000 bins from ``min(min, 0)``
+    raises :class:`DataError`.
     """
     vals = np.asarray(list(values), dtype=np.int64)
     if vals.size == 0:
         raise EmptySelectionError("cannot build a histogram from no values")
     if not 0 < bin_width < math.inf:
         raise ValueError("bin_width must be positive and finite")
-    if vals.max() > _MAX_BINS * bin_width:  # also keeps the edge guard below finite
+    # span from min(min, 0) in Python ints, so it cannot wrap; keeps the edge guard finite
+    if int(vals.max()) - min(int(vals.min()), 0) > _MAX_BINS * bin_width:
         raise DataError(f"bin width {bin_width!r}: over {_MAX_BINS:,} bins up to {vals.max()}")
 
     lowest = math.floor(vals.min() / bin_width) * bin_width

@@ -471,6 +471,20 @@ class TestRecordInvariants:
         with pytest.raises(ValueError):
             inn.batter_runs[0] = 4
 
+    def test_columns_are_copies_of_the_callers_arrays(self):
+        columns = [np.array(c) for c in zip(legal(0, 1, 1), illegal(0, 2))]
+        inn = InningsRecord(1, "X", *columns)
+        columns[2][0] = 4
+        assert all(c.flags.writeable for c in columns)
+        assert inn.batter_runs.tolist() == [1, 0]
+        assert (inn.over.dtype, inn.wicket.dtype) == (np.int64, bool)
+
+    def test_columns_of_unequal_length_rejected(self):
+        columns = [np.array(c) for c in zip(legal(0, 1), legal(0, 2))]
+        columns[3] = columns[3][:1]
+        with pytest.raises(ValueError, match="columns differ in length"):
+            InningsRecord(1, "X", *columns)
+
 
 # ---------------------------------------------------------------------------
 # trajectories
@@ -522,6 +536,21 @@ class TestTrajectory:
         traj = trajectory(inn, MatchFormat.ODI)
         with pytest.raises(ValueError):
             traj.runs[0] = 99
+
+    def test_arrays_are_copies_of_the_callers_arrays(self):
+        # the callers' own arrays were frozen in place
+        ball, runs, wickets = np.arange(1, 3), np.array([1, 2], dtype=np.int32), np.zeros(2)
+        traj = ball_log.InningsTrajectory(ball, runs, wickets, total=2, completed_balls=2)
+        runs[0] = 99
+        assert all(a.flags.writeable for a in (ball, runs, wickets))
+        assert traj.runs.tolist() == [1, 2]
+        assert (traj.runs.dtype, traj.wickets.dtype) == (np.int32, float)  # kept as given
+        with pytest.raises(ValueError, match="read-only"):
+            traj.ball[0] = 5
+
+    def test_arrays_of_unequal_length_rejected(self):
+        with pytest.raises(ValueError, match="columns differ in length"):
+            ball_log.InningsTrajectory(np.arange(1, 3), np.array([1]), np.zeros(2), 1, 2)
 
     def test_more_legal_balls_than_scheduled_rejected(self):
         inn = innings_of(*(legal(i // 6, i % 6 + 1) for i in range(121)))

@@ -114,6 +114,17 @@ class TestFitDlFamily:
         with pytest.raises(InsufficientDataError):
             fit_dl_family([], MatchFormat.ODI)
 
+    @pytest.mark.parametrize("format", list(MatchFormat))
+    def test_every_curve_reports_the_rss_of_its_own_parameters(self, demo, format):
+        # a pooled curve kept the unpooled fit's rss: ODI w = 1 said 83.22
+        family = fit_dl_family(demo, format)
+        points = remaining_run_means(demo, format)
+        assert family.adjusted
+        for curve in family:
+            u, means, _ = points[curve.w]
+            own = float(np.sum((curve.value(u) - means) ** 2))
+            assert curve.rss == pytest.approx(own, rel=1e-9), curve.w
+
     def test_pool_adjacent_violators(self):
         assert _pool_nonincreasing([3.0, 5.0, 4.0]) == [4.0, 4.0, 4.0]
         assert _pool_nonincreasing([5.0, 4.0, 3.0]) == [5.0, 4.0, 3.0]
@@ -160,6 +171,15 @@ class TestResourceTable:
         for shape in ((0, 11), (21, 10), (11,), (2, 11, 1)):
             with pytest.raises(ValueError, match="is not"):
                 ResourceTable(np.zeros(shape))
+
+    def test_grid_is_a_copy_of_the_callers_array(self):
+        grid = np.zeros((2, 11), dtype=np.float32)
+        table = ResourceTable(grid)
+        grid[1, 0] = 100.0
+        assert grid.flags.writeable
+        assert (table.percentage(1, 0), table.grid.dtype) == (0.0, float)
+        with pytest.raises(ValueError, match="read-only"):
+            table.grid[1, 0] = 100.0
 
     def test_out_of_range_lookup(self, odi_table):
         with pytest.raises(ValueError):

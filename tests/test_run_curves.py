@@ -105,6 +105,25 @@ class TestWicketCurve:
                 innings_index=1,
             )
 
+    def test_unordered_balls_rejected(self):
+        with pytest.raises(ValueError, match="unordered"):
+            WicketCurve(0, np.array([2, 1]), np.ones(2), np.ones(2), MatchFormat.ODI, 1)
+
+    def test_arrays_are_copies_of_the_callers_arrays(self):
+        balls, means, support = np.arange(1, 4), np.array([1.0, 2.0, 3.0]), np.ones(3, int)
+        curve = WicketCurve(0, balls, means, support, MatchFormat.ODI, 1)
+        means[0] = 9.0
+        assert all(a.flags.writeable for a in (balls, means, support))
+        assert curve.means.tolist() == [1.0, 2.0, 3.0]
+        with pytest.raises(ValueError, match="read-only"):
+            curve.means[0] = 9.0
+
+    @pytest.mark.parametrize("n_means", [2, 4])
+    def test_columns_of_unequal_length_rejected(self, n_means):
+        # a short means raised IndexError, and a long one was cut to the balls
+        with pytest.raises(ValueError, match="columns differ in length"):
+            WicketCurve(0, np.arange(1, 4), np.ones(n_means), np.ones(3), MatchFormat.ODI, 1)
+
 
 def reference_wicket_curve(corpus, format, innings_index, w, min_support):
     """(balls, means, support) for one wicket state, from its own corpus pass."""

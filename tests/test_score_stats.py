@@ -60,6 +60,23 @@ class TestTotals:
             totals(small_odi, MatchFormat.IPL, 1)
 
 
+class TestHistogram:
+    def test_arrays_are_copies_of_the_callers_arrays(self):
+        # the caller's own arrays were frozen in place
+        edges, counts = np.arange(4.0), np.array([1.0, 2.0, 3.0, 4.0])
+        hist = Histogram(1.0, edges, counts)
+        counts[0] = 5.0
+        assert edges.flags.writeable and counts.flags.writeable
+        assert hist.counts.tolist() == [1.0, 2.0, 3.0, 4.0]
+        assert hist.counts.dtype == float  # kept as given
+        with pytest.raises(ValueError, match="read-only"):
+            hist.counts[0] = 5.0
+
+    def test_edges_and_counts_of_unequal_length_rejected(self):
+        with pytest.raises(ValueError, match="columns differ in length"):
+            Histogram(1.0, np.arange(5.0), np.ones(4))
+
+
 class TestBuildHistogram:
     def test_mass_conserved(self, small_odi):
         values = totals(small_odi, MatchFormat.ODI, 1)
@@ -93,6 +110,14 @@ class TestBuildHistogram:
         with pytest.raises(DataError, match=f"bin width {width!r}"):
             build_histogram([150, 320], width)
         assert build_histogram([150, 320], 0.01).counts.sum() == 2  # 32,001 bins
+
+    def test_negative_values_count_toward_the_bin_cap(self):
+        # the cap measured only up from 0, so this built 150,006 bins
+        with pytest.raises(DataError, match="over 100,000 bins"):
+            build_histogram([-150_000, 0, 5], 1.0)
+        hist = build_histogram([-15, 0, 5], 10.0)
+        assert hist.bin_lower_edges.tolist() == [-20.0, -10.0, 0.0]
+        assert hist.counts.tolist() == [1, 0, 2]
 
 
 class TestFitNormal:
