@@ -20,12 +20,11 @@ import json
 import math
 import os
 import sys
-from datetime import date
 from pathlib import Path
 
-# the batch modules, and numpy with them, are imported by the commands that
-# use them, so ``target`` loads only target_engine, fits and errors
-from . import target_engine
+# the batch modules, numpy and datetime are imported by the commands that use
+# them, and target_engine by the two that revise, so ``target`` loads only
+# target_engine, fits and errors
 from .errors import (
     DataError,
     EmptySelectionError,
@@ -46,6 +45,8 @@ def _corpus(args: argparse.Namespace) -> Corpus:
     """Every readable match of the source, by match id, dated up to ``--until``.
 
     Each command applies ``--format`` where it selects its matches or innings."""
+    from datetime import date
+
     from .ball_log import Corpus, load_corpus
 
     if args.fixture:
@@ -199,7 +200,9 @@ def cmd_curves(args: argparse.Namespace) -> None:
 
 
 def _revise(args: argparse.Namespace) -> tuple:
-    """(scenario document, scenario, revision); nothing left to chase exits 3."""
+    """(scenario document, scenario, revision JSON); nothing left to chase exits 3."""
+    from . import target_engine
+
     doc = _read_json(args.scenario)
     scenario = target_engine.scenario_from_json(doc)
     fits_doc = _read_json(args.fits)
@@ -210,12 +213,12 @@ def _revise(args: argparse.Namespace) -> tuple:
         raise InvalidScenarioError(
             "nothing to chase: every scheduled ball falls inside the lost interval"
         )
-    return doc, scenario, revision
+    return doc, scenario, target_engine.revision_to_json(revision)
 
 
 def cmd_target(args: argparse.Namespace) -> None:
     _, _, revision = _revise(args)
-    _emit(args, "revision.json", target_engine.revision_to_json(revision))
+    _emit(args, "revision.json", revision)
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +238,7 @@ def cmd_compare(args: argparse.Namespace) -> None:
     from . import dl_reference
 
     doc, scenario, revision = _revise(args)
-    payload: dict = {"area_ratio": target_engine.revision_to_json(revision)}
+    payload: dict = {"area_ratio": revision}
 
     table = fitted = None
     if args.dl_table:

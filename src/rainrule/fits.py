@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import sys
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 from .errors import EmptyCurveError, ParseError
 
@@ -21,21 +20,58 @@ DEFAULT_MIN_SUPPORT = 10
 DEFAULT_DEGREE = 3
 
 
-@dataclass(frozen=True)
-class PolyFit:
+class Record:
+    """Base of the decision path's records, whose fields are their ``__slots__``:
+    equal and hashed by value, immutable, and shown with their field names.
+
+    Plain classes, because ``dataclasses`` imports ``inspect`` and generates
+    each record's methods at import time, on every ``rainrule target`` call.
+    A subclass's ``__init__`` validates its arguments, then sets each field
+    with ``object.__setattr__``.
+    """
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):  # copy and pickle rebuild through __init__
+        return type(self), self._values()
+
+
+class PolyFit(Record):
     """Zero-intercept polynomial coefficients in raw ball units."""
 
-    a: float
-    b: float
-    c: float
-    degree: int
-    rss: float = 0.0
+    __slots__ = ("a", "b", "c", "degree", "rss")
 
-    def __post_init__(self):
-        if self.degree not in (2, 3):
-            raise ValueError(f"degree must be 2 or 3, got {self.degree!r}")
-        if self.degree == 2 and self.a != 0.0:
+    def __init__(self, a: float, b: float, c: float, degree: int, rss: float = 0.0):
+        if degree not in (2, 3):
+            raise ValueError(f"degree must be 2 or 3, got {degree!r}")
+        if degree == 2 and a != 0.0:
             raise ValueError("degree-2 fit requires a = 0")
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "rss", rss)
 
 
 def poly_eval(fit: PolyFit, x):

@@ -17,10 +17,10 @@ pass through unchanged; that property is used by the identity tests.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import DegenerateCurveError, InvalidScenarioError
-from .fits import PolyFit
+from .fits import PolyFit, Record
 
 __all__ = [
     "InterruptionScenario",
@@ -34,8 +34,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class InterruptionScenario:
+class InterruptionScenario(Record):
     """State of an interrupted chase.
 
     ``n`` is the number of balls already bowled at the stoppage, ``m`` the
@@ -45,47 +44,50 @@ class InterruptionScenario:
     and non-overlapping.
     """
 
-    n: int
-    m: int
-    N: int
-    target_score: int
-    current_score: int
-    wickets_at_stoppage: int = 0
-    more_intervals: tuple[tuple[int, int], ...] = ()
+    __slots__ = (
+        "n", "m", "N", "target_score", "current_score", "wickets_at_stoppage", "more_intervals"
+    )
 
-    def __post_init__(self):
-        if self.N <= 0:
+    def __init__(
+        self, n: int, m: int, N: int, target_score: int, current_score: int,
+        wickets_at_stoppage: int = 0, more_intervals: tuple[tuple[int, int], ...] = (),
+    ):
+        if N <= 0:
             raise InvalidScenarioError("N: scheduled balls must be positive")
-        if self.target_score <= 0:
+        if target_score <= 0:
             raise InvalidScenarioError("target_score: must be positive")
-        if self.current_score < 0:
+        if current_score < 0:
             raise InvalidScenarioError("current_score: must be non-negative")
-        if self.current_score >= self.target_score:
+        if current_score >= target_score:
             raise InvalidScenarioError(
                 "current_score: chase already complete (current_score >= target_score)"
             )
-        if not 0 <= self.wickets_at_stoppage <= 10:
+        if not 0 <= wickets_at_stoppage <= 10:
             raise InvalidScenarioError("wickets_at_stoppage: must be in [0, 10]")
-        object.__setattr__(self, "more_intervals", tuple(tuple(p) for p in self.more_intervals))
+        more_intervals = tuple(tuple(p) for p in more_intervals)
         last = 0
-        for i, (start, restart) in enumerate(self.intervals):
+        for i, (start, restart) in enumerate(((n, m),) + more_intervals):
             label = "n/m" if i == 0 else f"more_intervals[{i - 1}]"
-            if not last <= start <= restart <= self.N:
+            if not last <= start <= restart <= N:
                 raise InvalidScenarioError(
                     f"{label}: intervals must satisfy 0 <= n <= m <= N in order"
                 )
             last = restart
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "N", N)
+        object.__setattr__(self, "target_score", target_score)
+        object.__setattr__(self, "current_score", current_score)
+        object.__setattr__(self, "wickets_at_stoppage", wickets_at_stoppage)
+        object.__setattr__(self, "more_intervals", more_intervals)
 
     @property
     def intervals(self) -> tuple[tuple[int, int], ...]:
         return ((self.n, self.m),) + self.more_intervals
 
 
-@dataclass(frozen=True)
-class RevisedTarget:
-    ratio: float
-    runs_remaining: float
-    revised_total: int
+# a plain value, so a tuple's behaviour does no harm
+RevisedTarget = namedtuple("RevisedTarget", ("ratio", "runs_remaining", "revised_total"))
 
 
 def area_full(fit: PolyFit, N: int):

@@ -19,9 +19,12 @@ from rainrule.fixtures import fixture_path, synthetic_corpus, write_corpus
 SRC = Path(rainrule.__file__).resolve().parents[1]
 
 # runs ``python -m rainrule.cli ARGS`` the way a user does (the package root
-# first), then writes the exit code and the loaded modules to REPORT
+# first), then writes the exit code, the modules loaded before the probe began
+# (a bare interpreter's) and those loaded at the end to REPORT
 CLI_PROBE = """
-import json, runpy, sys
+import sys
+bare = sorted(sys.modules)
+import json, runpy
 report, sys.argv = sys.argv[1], ["rainrule", *sys.argv[2:]]
 try:
     runpy.run_module("rainrule.cli", run_name="__main__", alter_sys=True)
@@ -29,8 +32,12 @@ try:
 except SystemExit as e:
     code = e.code
 with open(report, "w") as f:
-    json.dump({"exit": code, "modules": sorted(sys.modules)}, f)
+    json.dump({"exit": code, "bare": bare, "modules": sorted(sys.modules)}, f)
 """
+
+# standard-library machinery the decision path does without; a site hook may
+# preload some of them (``typing``, say), which the CLI is not charged for
+UNUSED_BY_TARGET = {"dataclasses", "inspect", "datetime", "typing"}
 
 
 def fresh_python(*args: str, cwd: Path) -> subprocess.CompletedProcess:
@@ -40,12 +47,13 @@ def fresh_python(*args: str, cwd: Path) -> subprocess.CompletedProcess:
     )
 
 
-def run_cli(tmp_path: Path, *argv: str) -> tuple[int, set[str]]:
+def run_cli(tmp_path: Path, *argv: str) -> tuple[int, set[str], set[str]]:
+    """(exit code, modules of a bare interpreter, modules loaded at exit)"""
     report = tmp_path / "report.json"
     proc = fresh_python("-c", CLI_PROBE, str(report), *argv, cwd=tmp_path)
     assert report.exists(), proc.stderr
     result = json.loads(report.read_text())
-    return result["exit"], set(result["modules"])
+    return result["exit"], set(result["bare"]), set(result["modules"])
 
 
 SCENARIO = json.loads(fixture_path("example_scenario.json").read_text())
@@ -65,11 +73,12 @@ def test_target_imports_no_numpy(tmp_path, case):
     scenario, fits, expected = TARGET_CASES[case]
     (tmp_path / "scenario.json").write_text(json.dumps(scenario))
     (tmp_path / "fits.json").write_text(json.dumps(fits))
-    code, modules = run_cli(
+    code, bare, modules = run_cli(
         tmp_path, "target", "--scenario", "scenario.json", "--fits", "fits.json"
     )
     assert code == expected
     assert "numpy" not in modules
+    assert (UNUSED_BY_TARGET & modules) - bare == set()
     assert {m for m in modules if m.startswith("rainrule")} == {
         "rainrule", "rainrule.errors", "rainrule.fits", "rainrule.target_engine"
     }
@@ -77,11 +86,20 @@ def test_target_imports_no_numpy(tmp_path, case):
 
 def test_ingest_imports_only_the_reader(tmp_path):
     write_corpus(synthetic_corpus(MatchFormat.T20I, 2, seed=3), tmp_path / "data")
-    code, modules = run_cli(tmp_path, "ingest", "--data-dir", "data")
+    code, _, modules = run_cli(tmp_path, "ingest", "--data-dir", "data")
     assert code == 0
     assert "rainrule.ball_log" in modules
-    for unused in ("rainrule.leastsq", "rainrule.dl_reference", "rainrule.fixtures"):
+    for unused in ("rainrule.leastsq", "rainrule.dl_reference", "rainrule.fixtures",
+                   "rainrule.target_engine"):
         assert unused not in modules
+
+
+@pytest.mark.parametrize("command, unused", [("stats", "rainrule.run_curves"),
+                                             ("curves", "rainrule.score_stats")])
+def test_batch_commands_load_no_target_engine(tmp_path, command, unused):
+    code, _, modules = run_cli(tmp_path, command, "--fixture", "--out", "out")
+    assert code == 0
+    assert "rainrule.target_engine" not in modules and unused not in modules
 
 
 def test_every_public_name_resolves_to_its_home():

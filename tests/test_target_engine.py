@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -11,6 +13,7 @@ from rainrule import (
     InterruptionScenario,
     InvalidScenarioError,
     PolyFit,
+    RevisedTarget,
     area_full,
     area_interrupted,
     resource_ratio,
@@ -249,3 +252,130 @@ class TestJsonInterface:
             }
         )
         assert scenario.intervals == ((60, 90), (180, 240))
+
+
+class TestRecordContracts:
+    """The decision path's three records: construction, defaults, validation,
+    value equality, immutability and repr."""
+
+    SCENARIO = dict(n=120, m=180, N=300, target_score=275, current_score=100)
+
+    def records(self):
+        return [
+            PolyFit(-0.0031, 1.0298, 0.0, 3, 12.5),
+            InterruptionScenario(120, 180, 300, 275, 100, 4, ((200, 230),)),
+            RevisedTarget(0.75, 131.25, 231),
+        ]
+
+    def test_positional_and_keyword_construction_agree(self):
+        by_keyword = [
+            PolyFit(a=-0.0031, b=1.0298, c=0.0, degree=3, rss=12.5),
+            InterruptionScenario(
+                **self.SCENARIO, wickets_at_stoppage=4,
+                more_intervals=tuple(tuple(p) for p in [[200, 230]]),
+            ),
+            RevisedTarget(ratio=0.75, runs_remaining=131.25, revised_total=231),
+        ]
+        assert by_keyword == self.records()
+        fit, scenario, revision = by_keyword
+        assert (fit.a, fit.b, fit.c, fit.degree, fit.rss) == (-0.0031, 1.0298, 0.0, 3, 12.5)
+        assert (scenario.n, scenario.m, scenario.N) == (120, 180, 300)
+        assert (scenario.target_score, scenario.current_score) == (275, 100)
+        assert scenario.wickets_at_stoppage == 4
+        assert scenario.more_intervals == ((200, 230),)
+        assert (revision.ratio, revision.runs_remaining, revision.revised_total) == (
+            0.75, 131.25, 231
+        )
+
+    def test_defaults(self):
+        assert PolyFit(0.0, 1.0, 0.5, 2).rss == 0.0
+        scenario = InterruptionScenario(**self.SCENARIO)
+        assert scenario.wickets_at_stoppage == 0
+        assert scenario.more_intervals == ()
+        assert scenario.intervals == ((120, 180),)
+
+    def test_more_intervals_become_a_tuple_of_tuples(self):
+        for given in ([[200, 230], [240, 250]], ([200, 230], (240, 250)),
+                      iter([(200, 230), [240, 250]])):
+            scenario = InterruptionScenario(**self.SCENARIO, more_intervals=given)
+            assert scenario.more_intervals == ((200, 230), (240, 250))
+            pairs = scenario.more_intervals
+            assert type(pairs) is tuple and all(type(p) is tuple for p in pairs)
+        listed = InterruptionScenario(**self.SCENARIO, more_intervals=[[200, 230]])
+        assert listed == InterruptionScenario(**self.SCENARIO, more_intervals=((200, 230),))
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            (dict(a=0.0, b=1.0, c=0.0, degree=1), "degree must be 2 or 3, got 1"),
+            (dict(a=0.0, b=1.0, c=0.0, degree=3.7), "degree must be 2 or 3, got 3.7"),
+            (dict(a=0.1, b=1.0, c=0.0, degree=2), "degree-2 fit requires a = 0"),
+        ],
+    )
+    def test_polyfit_messages(self, kwargs, message):
+        with pytest.raises(ValueError) as info:
+            PolyFit(**kwargs)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            (dict(N=0), "N: scheduled balls must be positive"),
+            (dict(N=0, target_score=0), "N: scheduled balls must be positive"),
+            (dict(target_score=0, current_score=0), "target_score: must be positive"),
+            (dict(current_score=-1), "current_score: must be non-negative"),
+            (dict(current_score=275),
+             "current_score: chase already complete (current_score >= target_score)"),
+            (dict(wickets_at_stoppage=-1), "wickets_at_stoppage: must be in [0, 10]"),
+            (dict(wickets_at_stoppage=11), "wickets_at_stoppage: must be in [0, 10]"),
+            (dict(n=200), "n/m: intervals must satisfy 0 <= n <= m <= N in order"),
+            (dict(m=301), "n/m: intervals must satisfy 0 <= n <= m <= N in order"),
+            (dict(more_intervals=((170, 200),)),
+             "more_intervals[0]: intervals must satisfy 0 <= n <= m <= N in order"),
+            (dict(more_intervals=((200, 230), (250, 240))),
+             "more_intervals[1]: intervals must satisfy 0 <= n <= m <= N in order"),
+            (dict(more_intervals=((200, 310),)),
+             "more_intervals[0]: intervals must satisfy 0 <= n <= m <= N in order"),
+        ],
+    )
+    def test_scenario_messages(self, changes, message):
+        with pytest.raises(InvalidScenarioError) as info:
+            InterruptionScenario(**dict(self.SCENARIO, **changes))
+        assert str(info.value) == message
+
+    def test_value_equality_and_hashing(self):
+        for one, two in zip(self.records(), self.records()):
+            assert one is not two and one == two and not one != two
+            assert hash(one) == hash(two)
+        fit, scenario, revision = self.records()
+        assert fit != PolyFit(-0.0031, 1.0298, 0.0, 3)
+        assert scenario != InterruptionScenario(120, 180, 300, 275, 100, 4)
+        assert revision != RevisedTarget(0.75, 131.25, 230)
+        assert fit != (fit.a, fit.b, fit.c, fit.degree, fit.rss)
+        assert len({fit, PolyFit(-0.0031, 1.0298, 0.0, 3, 12.5), scenario, revision}) == 3
+
+    def test_immutable(self):
+        for record, field in zip(self.records(), ("a", "n", "ratio")):
+            for name in (field, "unknown"):
+                with pytest.raises(AttributeError):
+                    setattr(record, name, 1)
+            with pytest.raises(AttributeError):
+                delattr(record, field)
+            assert getattr(record, field) != 1
+
+    def test_repr_names_the_fields(self):
+        fit, scenario, revision = self.records()
+        assert repr(fit) == "PolyFit(a=-0.0031, b=1.0298, c=0.0, degree=3, rss=12.5)"
+        assert repr(scenario) == (
+            "InterruptionScenario(n=120, m=180, N=300, target_score=275, current_score=100, "
+            "wickets_at_stoppage=4, more_intervals=((200, 230),))"
+        )
+        assert repr(revision) == (
+            "RevisedTarget(ratio=0.75, runs_remaining=131.25, revised_total=231)"
+        )
+
+    def test_copies_and_pickles_equal(self):
+        for record in self.records():
+            assert copy.copy(record) == record
+            assert copy.deepcopy(record) == record
+            assert pickle.loads(pickle.dumps(record)) == record
