@@ -20,7 +20,7 @@ _HOMES = {
     "ball_log": (
         "CSV_HEADER", "Corpus", "Delivery", "Diagnostic", "ExtrasKind", "InningsRecord",
         "InningsTrajectory", "MatchFormat", "MatchRecord", "ParseWarning", "export_csv",
-        "innings_trajectories", "load_corpus", "match_to_json", "parse_match",
+        "innings_trajectories", "load_corpus", "match_json_text", "match_to_json", "parse_match",
         "qualifying_trajectories", "trajectory",
     ),
     "dl_reference": (

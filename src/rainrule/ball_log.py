@@ -1,6 +1,7 @@
 """Ball-by-ball match ingestion and per-innings cumulative trajectories.
 
-Reads two document kinds, and writes each (:func:`match_to_json`, :func:`export_csv`):
+Reads two document kinds, and writes each (:func:`match_to_json` and its text
+:func:`match_json_text`, :func:`export_csv`):
 
 * Cricsheet-style JSON (one match per file), using ``info.match_type``,
   ``info.dates[0]``, ``info.teams``, ``info.venue`` and
@@ -25,7 +26,9 @@ with read-only :class:`Delivery` row views on demand.  It checks each
 delivery rule once over its columns; each reader maps the first failing row
 back to its own position (a JSON path or a CSV line), where it also reports
 any other malformed field, as one :class:`ParseError`, so one bad file is one
-diagnostic in :func:`load_corpus`.
+diagnostic in :func:`load_corpus`.  A CSV log is read a column at a time
+from its bytes; one that reader does not take as it stands goes, decoded,
+to the row-by-row reader, which names the line.
 """
 
 from __future__ import annotations
@@ -38,11 +41,12 @@ from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from datetime import date
 from enum import Enum
-from functools import cached_property
+from functools import cache, cached_property
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DataError, ParseError, UnsupportedFormatError
 
@@ -59,6 +63,7 @@ __all__ = [
     "parse_match",
     "load_corpus",
     "match_to_json",
+    "match_json_text",
     "trajectory",
     "innings_trajectories",
     "qualifying_trajectories",
@@ -122,6 +127,12 @@ _NONE_CODE, _WIDE_CODE, _NO_BALL_CODE = (
 _MAX_DELIVERY_RUNS = 100
 
 _I64 = np.iinfo(np.int64)
+# the least and the most each of over, ball_in_over, batter_runs, extras_runs and
+# kind may hold, and the least extras_runs by kind: the delivery rules as bounds
+_LEAST = np.array([[0], [1], [0], [0], [0]])
+_MOST = np.array([[_I64.max - 1], [_I64.max - 1], [_MAX_DELIVERY_RUNS], [_MAX_DELIVERY_RUNS],
+                  [len(_KINDS) - 1]])
+_LEAST_EXTRAS = np.array([int(kind in (ExtrasKind.WIDE, ExtrasKind.NO_BALL)) for kind in _KINDS])
 _COLUMNS = ("over", "ball_in_over", "batter_runs", "extras_runs", "kind", "wicket")
 _COLUMN_DTYPES = {name: bool if name == "wicket" else np.int64 for name in _COLUMNS}
 
@@ -194,9 +205,24 @@ class InningsRecord:
         if self.innings_index not in (1, 2):
             raise ValueError("innings_index must be 1 or 2")
         freeze_columns(self, **_COLUMN_DTYPES)
+        # every row rule at once as bounds; the rules one by one only to name a failure
+        bounded = np.array(
+            [self.over, self.ball_in_over, self.batter_runs, self.extras_runs, self.kind]
+        )
+        if ((bounded < _LEAST) | (bounded > _MOST)).any() or (
+            self.extras_runs < _LEAST_EXTRAS.take(self.kind, mode="clip")
+        ).any():
+            raise self._first_bad_row()
+        step = bounded[:2, 1:] - bounded[:2, :-1]  # within bounds, so it cannot wrap
+        if (np.where(step[0], step[0], step[1]) < 0).any():
+            raise ValueError("deliveries not ordered by (over, ball_in_over)")
+        if np.count_nonzero(self.wicket) > 10:
+            raise ValueError("more than 10 wickets in one innings")
 
-        over, ball, batter, extras = self.over, self.ball_in_over, self.batter_runs, self.extras_runs
-        cap = _MAX_DELIVERY_RUNS
+    def _first_bad_row(self) -> _RowError:
+        """The first row that breaks a delivery rule, with the first rule it breaks."""
+        over, ball = self.over, self.ball_in_over
+        batter, extras, cap = self.batter_runs, self.extras_runs, _MAX_DELIVERY_RUNS
         rules = (
             ((over < 0) | (ball < 1), "over must be >= 0 and ball_in_over >= 1"),
             ((over == _I64.max) | (ball == _I64.max), "over or ball_in_over past int64"),
@@ -205,14 +231,8 @@ class InningsRecord:
             ((self.kind < 0) | (self.kind >= len(_KINDS)), "unknown extras kind code"),
             (~self.legal & (extras < 1), "wide/no-ball must credit at least one extra run"),
         )
-        failing = np.logical_or.reduce([mask for mask, _ in rules])
-        if failing.any():
-            row = int(failing.argmax())
-            raise _RowError(row, next(message for mask, message in rules if mask[row]))
-        if np.any((over[1:] < over[:-1]) | ((over[1:] == over[:-1]) & (ball[1:] < ball[:-1]))):
-            raise ValueError("deliveries not ordered by (over, ball_in_over)")
-        if np.count_nonzero(self.wicket) > 10:
-            raise ValueError("more than 10 wickets in one innings")
+        row = int(np.logical_or.reduce([mask for mask, _ in rules]).argmax())
+        return _RowError(row, next(message for mask, message in rules if mask[row]))
 
     def __eq__(self, other):
         if not isinstance(other, InningsRecord):
@@ -316,7 +336,7 @@ def parse_match(data: bytes | str, match_id: str | None = None) -> MatchRecord:
     if head.startswith("{"):
         record, warns = _match_from_json(text, match_id)
     elif head.startswith("match_id"):
-        records, warns = _matches_from_csv(text)
+        records, warns = _matches_from_csv(data)
         if len(records) != 1:
             raise ParseError(
                 f"expected exactly one match in CSV document, found {len(records)}"
@@ -496,14 +516,34 @@ class _Memo(dict):
         return value
 
 
-def _matches_from_csv(text: str) -> tuple[list[MatchRecord], list[str]]:
+def _kind_code(token: str) -> int:
+    return ExtrasKind(token.strip()).code
+
+
+def _matches_from_csv(data: bytes | str) -> tuple[list[MatchRecord], list[str]]:
+    """The matches of a CSV ball log, read a column at a time.  A log that
+    the columnar reader does not take as it stands is decoded for the row
+    reader, which reads it the same way or raises at its first bad line."""
+    try:
+        records = _matches_from_columns(data.encode() if isinstance(data, str) else data)
+    except (UnsupportedFormatError, ValueError):  # a lone surrogate too: UnicodeEncodeError
+        records = _matches_from_rows(_decode(data))
+    return records, []
+
+
+def _csv_match(mid: str, fmt: MatchFormat, innings: Iterable[InningsRecord]) -> MatchRecord:
+    innings = sorted(innings, key=lambda inn: inn.innings_index)
+    return MatchRecord(mid, fmt, _CSV_EPOCH, ("", ""), "", innings)
+
+
+def _matches_from_rows(text: str) -> list[MatchRecord]:
     lines = text.splitlines()
     if not lines or lines[0].strip() != CSV_HEADER:
         raise ParseError("CSV header does not match the canonical ball log", position="line 1")
 
     # the format, kind and flag cells take a handful of distinct tokens
     formats = _Memo(MatchFormat.from_string)
-    kinds = _Memo(lambda token: ExtrasKind(token.strip()).code)
+    kinds = _Memo(_kind_code)
     flags = _Memo(_parse_bool)
     # match_id -> (format, innings index -> (line numbers, *columns)), first seen first
     by_match: dict[str, tuple[MatchFormat, dict[int, tuple[list, ...]]]] = {}
@@ -558,9 +598,135 @@ def _matches_from_csv(text: str) -> tuple[list[MatchRecord], list[str]]:
                 raise ParseError(f"bad delivery row: {e}", position=position) from e
             except ValueError as e:
                 raise ParseError(f"bad innings {idx} of match {mid!r}: {e}") from e
-        innings.sort(key=lambda inn: inn.innings_index)
-        records.append(MatchRecord(mid, fmt, _CSV_EPOCH, ("", ""), "", innings))
-    return records, []
+        records.append(_csv_match(mid, fmt, innings))
+    return records
+
+
+_FORMATS = tuple(MatchFormat)
+_CSV_HEAD = (CSV_HEADER + "\n").encode()
+# ``str.splitlines`` ends a line at each of these as well as at "\n"
+_OTHER_LINE_BREAKS = tuple(c.encode() for c in "\r\v\f\x1c\x1d\x1e\x85\u2028\u2029")
+_MAX_DIGITS = 18  # every number of up to 18 digits fits int64
+_MAX_TOKEN = 7  # bytes of a token; an eighth holds its length in its key
+_COMMA, _NEWLINE, _ZERO = (ord(c) for c in ",\n0")
+# _LOW_BYTES[k] keeps the k lowest bytes of a little-endian word, _HIGH_BYTES[k] the k highest
+_LOW_BYTES = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)
+_HIGH_BYTES = _LOW_BYTES[::-1] ^ _LOW_BYTES[-1]
+
+
+def _matches_from_columns(raw: bytes) -> list[MatchRecord]:
+    """The matches of a UTF-8 log of well-formed rows, read a column at a time.
+
+    Raises ``ValueError`` (or :class:`UnsupportedFormatError`) unless every
+    line is the header or a row of 10 fields of which the integers are 1 to
+    18 ASCII digits, the tokens convert, the legal flags match the kinds, each
+    match keeps one format and each innings' rows are contiguous: a log the
+    row reader might read otherwise, or refuse, is left to it.  Every byte
+    past the header is a separator, a digit or part of a token or match id
+    that is decoded, so a log that is not UTF-8 raises too.
+    """
+    if not raw.startswith(_CSV_HEAD) or any(c in raw for c in _OTHER_LINE_BREAKS):
+        raise ValueError("no canonical header, or a line break other than \\n")
+    buf = np.frombuffer(raw, np.uint8)
+    sep = _separators(buf)
+    # every line, the header too, is nine commas then a newline, and the last one ends the log
+    if sep.size % 10 or sep[-1] != buf.size - 1:
+        raise ValueError("a line of other than 10 fields, or no final newline")
+    line_seps = buf[sep].reshape(-1, 10)
+    if (line_seps[:, :9] != _COMMA).any() or (line_seps[:, 9] != _NEWLINE).any():
+        raise ValueError("a line of other than 10 fields")
+    if sep.size == 10:
+        return []
+
+    def field(k):  # (begin, end) of field k of each row, past the header
+        return sep[9 + k:-1:10] + 1, sep[10 + k::10]
+
+    index, over, ball, batter, extras = (_integers(buf, *field(k)) for k in (2, 3, 4, 6, 7))
+    fmt = _tokens(buf, *field(1), lambda t: _FORMATS.index(MatchFormat.from_string(t)))
+    legal, wicket = (_tokens(buf, *field(k), _parse_bool) for k in (5, 9))
+    kind = _tokens(buf, *field(8), _kind_code)
+    if np.any(legal == ((kind == _WIDE_CODE) | (kind == _NO_BALL_CODE))):
+        raise ValueError("legal flag inconsistent with extras kind")
+
+    # an innings is a run of rows under one match id and innings index
+    begin, end = field(0)
+    new_innings = _changes(buf, begin, end) | (index[1:] != index[:-1])
+    if np.any(~new_innings & (fmt[1:] != fmt[:-1])):
+        raise ValueError("conflicting formats")
+    cuts = np.flatnonzero(new_innings) + 1
+    firsts = np.append(0, cuts)
+    by_match: dict[str, tuple[MatchFormat, dict[int, InningsRecord]]] = {}
+    for a, b, at, to, idx, code in zip(
+        firsts.tolist(), np.append(cuts, end.size).tolist(),
+        begin[firsts].tolist(), end[firsts].tolist(),
+        index[firsts].tolist(), fmt[firsts].tolist(),
+    ):
+        match_fmt, innings = by_match.setdefault(raw[at:to].decode(), (_FORMATS[code], {}))
+        if match_fmt is not _FORMATS[code] or idx in innings:
+            raise ValueError("conflicting formats, or an innings in two runs of rows")
+        innings[idx] = InningsRecord(
+            idx, "", over[a:b], ball[a:b], batter[a:b], extras[a:b], kind[a:b], wicket[a:b]
+        )
+    return [_csv_match(mid, fmt, innings.values()) for mid, (fmt, innings) in by_match.items()]
+
+
+def _separators(buf: np.ndarray) -> np.ndarray:
+    """The position of every comma and newline, found 256 KiB at a time so
+    that no mask or int64 index of the whole log is ever held."""
+    dtype = np.int32 if buf.size <= np.iinfo(np.int32).max else np.int64
+    step = 1 << 18
+    return np.concatenate([
+        (np.flatnonzero((buf[i:i + step] == _COMMA) | (buf[i:i + step] == _NEWLINE)) + i)
+        .astype(dtype)
+        for i in range(0, buf.size, step)
+    ])
+
+
+def _integers(buf: np.ndarray, begin: np.ndarray, end: np.ndarray) -> np.ndarray:
+    """The number each field spells in 1 to 18 ASCII digits, as int64;
+    ``ValueError`` for any other field, such as " 3", "+3" or "1_0"."""
+    width = end - begin
+    if width.min() < 1 or width.max() > _MAX_DIGITS:
+        raise ValueError("an integer field of no or too many digits")
+    value = np.zeros(width.size, np.int64)
+    for j in range(int(width.max())):  # the digit worth 10**j, in fields that have one
+        digit = buf[end - 1 - j].astype(np.int64) - _ZERO
+        inside = j < width
+        if np.any(inside & ((digit < 0) | (digit > 9))):
+            raise ValueError("an integer field of other than ASCII digits")
+        value += np.where(inside, digit, 0) * 10**j
+    return value
+
+
+def _tokens(buf: np.ndarray, begin: np.ndarray, end: np.ndarray, convert) -> np.ndarray:
+    """``convert`` of each field, called once per distinct token; ``ValueError``
+    for a token of over 7 bytes or one ``convert`` refuses."""
+    width = (end - begin).astype(np.uint64)
+    if width.max() > _MAX_TOKEN:
+        raise ValueError("a token of over 7 bytes")
+    # a token's key: the word that ends with it, its width in the bytes before it
+    key = _words(buf)[end - 8] & _HIGH_BYTES[width] | width
+    ordered = np.sort(key)
+    distinct = ordered[np.append(True, ordered[1:] != ordered[:-1])]
+    tokens = (k.to_bytes(8, "little")[8 - (k & 0xFF):].decode() for k in distinct.tolist())
+    return np.array([convert(token) for token in tokens])[np.searchsorted(distinct, key)]
+
+
+def _changes(buf: np.ndarray, begin: np.ndarray, end: np.ndarray) -> np.ndarray:
+    """Whether each field but the first differs, byte for byte, from the one before."""
+    width = end - begin
+    changed = width[1:] != width[:-1]
+    # fields of equal width, compared a word at a time
+    words, width = _words(buf), width[1:]
+    for j in range(0, int(width.max(initial=0)), 8):
+        here, there = (words[np.minimum(at + j, buf.size - 8)] for at in (begin[1:], begin[:-1]))
+        changed |= (here ^ there) & _LOW_BYTES[np.clip(width - j, 0, 8)] != 0
+    return changed
+
+
+def _words(buf: np.ndarray) -> np.ndarray:
+    """The eight bytes from each offset of ``buf`` as one little-endian word."""
+    return sliding_window_view(buf, 8).view("<u8")[:, 0]
 
 
 def load_corpus(
@@ -586,12 +752,12 @@ def load_corpus(
         if suffix not in (".json", ".csv"):
             continue
         try:
-            text = _decode(path.read_bytes())
+            data = path.read_bytes()
             if suffix == ".json":
-                record, warns = _match_from_json(text, match_id=path.stem)
+                record, warns = _match_from_json(_decode(data), match_id=path.stem)
                 parsed = [record]
             else:
-                parsed, warns = _matches_from_csv(text)
+                parsed, warns = _matches_from_csv(data)
         except (ParseError, UnsupportedFormatError, OSError) as e:
             diagnostics.append(Diagnostic(path.name, str(e)))
             continue
@@ -705,12 +871,29 @@ def _delivery_doc(batter: int, extras: int, kind: int, wicket: bool) -> dict:
 
 def match_to_json(match: MatchRecord) -> dict:
     """Cricsheet JSON document of ``match``; the file name carries its match id."""
+    return _match_doc(match, _delivery_doc)
+
+
+def match_json_text(match: MatchRecord) -> str:
+    """``json.dumps(match_to_json(match), indent=2, sort_keys=True)`` and a
+    newline, the text of a match's file, with each distinct delivery encoded once."""
+
+    @cache
+    def delivery(*key) -> _Encoded:
+        return _Encoded(_json_text(_delivery_doc(*key), _DELIVERY_DEPTH))
+
+    return _json_text(_match_doc(match, delivery)) + "\n"
+
+
+def _match_doc(match: MatchRecord, delivery) -> dict:
+    """:func:`match_to_json`, taking each delivery's value from
+    ``delivery(batter, extras, kind, wicket)``."""
     innings_docs = []
     for inn in match.innings:
-        overs: dict[int, list[dict]] = {}
+        overs: dict[int, list] = {}
         columns = (inn.over, inn.batter_runs, inn.extras_runs, inn.kind, inn.wicket)
         for over, batter, extras, kind, wicket in zip(*(column.tolist() for column in columns)):
-            overs.setdefault(over, []).append(_delivery_doc(batter, extras, kind, wicket))
+            overs.setdefault(over, []).append(delivery(batter, extras, kind, wicket))
         over_docs = [{"over": over, "deliveries": docs} for over, docs in sorted(overs.items())]
         innings_docs.append({"team": inn.batting_team, "overs": over_docs})
     return {
@@ -724,6 +907,39 @@ def match_to_json(match: MatchRecord) -> dict:
         },
         "innings": innings_docs,
     }
+
+
+# how deep a delivery sits in a match document: innings list, innings, overs
+# list, over, deliveries list, delivery
+_DELIVERY_DEPTH = 6
+
+
+# what json.dumps writes for a string, escaping all but printable ASCII
+_json_string = json.encoder.encode_basestring_ascii
+
+
+class _Encoded(str):
+    """JSON text already laid out at the depth it is written at."""
+
+
+def _json_text(value, depth: int = 0) -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)`` laid out ``depth`` levels
+    into a document of string keys, taking an :class:`_Encoded` list item as
+    it stands."""
+    if type(value) is int:
+        return int.__repr__(value)  # as json writes an int
+    if isinstance(value, str):
+        return _json_string(value)
+    if isinstance(value, dict) and value:
+        brackets = "{}"
+        items = [f"{_json_string(k)}: {_json_text(v, depth + 1)}" for k, v in sorted(value.items())]
+    elif isinstance(value, (list, tuple)) and value:
+        brackets = "[]"
+        items = [v if isinstance(v, _Encoded) else _json_text(v, depth + 1) for v in value]
+    else:
+        return json.dumps(value)
+    pad = "\n" + "  " * depth
+    return brackets[0] + pad + "  " + ("," + pad + "  ").join(items) + pad + brackets[1]
 
 
 def _csv_rows(match: MatchRecord) -> Iterable[str]:

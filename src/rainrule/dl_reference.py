@@ -20,7 +20,7 @@ import numpy as np
 from .ball_log import MatchFormat, MatchRecord, freeze_columns, qualifying_trajectories
 from .errors import DegenerateFitError, IncompleteFamilyError, InsufficientDataError, ParseError
 from .leastsq import damped_gauss_newton
-from .run_curves import DEFAULT_MIN_SUPPORT, cell_means
+from .run_curves import DEFAULT_MIN_SUPPORT, cell_means, distinct_count
 
 __all__ = [
     "DLCurve",
@@ -125,9 +125,10 @@ def fit_dl_curve(u, means, w: int) -> DLCurve:
     y = np.asarray(means, dtype=float)
     if u.size != y.size:
         raise ValueError("u and means must have the same length")
-    if np.unique(u).size < 2:
+    distinct = distinct_count(u)
+    if distinct < 2:
         raise InsufficientDataError(
-            f"need at least 2 distinct overs-remaining points, have {np.unique(u).size}"
+            f"need at least 2 distinct overs-remaining points, have {distinct}"
         )
     if not y.max() > 0:
         raise DegenerateFitError("all mean remaining runs are non-positive")

@@ -9,14 +9,13 @@ innings score faster than second innings.
 
 from __future__ import annotations
 
-import json
 import math
 from datetime import date, timedelta
 from pathlib import Path
 
 import numpy as np
 
-from .ball_log import ExtrasKind, InningsRecord, MatchFormat, MatchRecord, match_to_json
+from .ball_log import ExtrasKind, InningsRecord, MatchFormat, MatchRecord, match_json_text
 
 __all__ = [
     "DEFAULT_SEED",
@@ -209,9 +208,6 @@ def write_corpus(matches, directory: str | Path) -> list[Path]:
     paths = []
     for match in matches:
         path = root / f"{match.match_id}.json"
-        path.write_text(
-            json.dumps(match_to_json(match), indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
+        path.write_text(match_json_text(match), encoding="utf-8")
         paths.append(path)
     return sorted(paths)

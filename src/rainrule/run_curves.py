@@ -149,6 +149,14 @@ def wicket_curve(
     return state_curve(wicket_curves(corpus, format, innings_index, min_support), w, min_support)
 
 
+def distinct_count(values: np.ndarray) -> int:
+    """How many distinct values a float array holds, every NaN counting as one
+    value, as ``np.unique`` counts them; on numpy 2 ``np.unique`` loads ``numpy.ma``."""
+    numbers = np.sort(values[~np.isnan(values)])
+    has_nan = numbers.size < values.size
+    return int(numbers.size > 0) + int(np.count_nonzero(numbers[1:] != numbers[:-1])) + int(has_nan)
+
+
 def fit_poly(curve: WicketCurve, degree: int = DEFAULT_DEGREE) -> PolyFit:
     """Weighted least squares over the zero-intercept monomial basis.
 
@@ -159,10 +167,11 @@ def fit_poly(curve: WicketCurve, degree: int = DEFAULT_DEGREE) -> PolyFit:
     """
     x = curve.balls.astype(float)
     y = curve.means
-    if np.unique(x).size < degree + 1:
+    distinct = distinct_count(x)
+    if distinct < degree + 1:
         raise SingularFitError(
             f"need at least {degree + 1} distinct ball values for a degree-{degree} fit, "
-            f"have {np.unique(x).size}"
+            f"have {distinct}"
         )
 
     weights = curve.support.astype(float)

@@ -85,18 +85,28 @@ def totals(
 def build_histogram(values: Sequence[int], bin_width: float) -> Histogram:
     """Bin integer values into uniform left-closed bins.
 
-    The lowest edge is ``floor(min/bin_width) * bin_width``, the counts sum to
-    the sample count, and a width needing over 100,000 bins from ``min(min, 0)``
-    raises :class:`DataError`.
+    The lowest edge is ``floor(min/bin_width) * bin_width`` and the counts sum
+    to the sample count.  A width needing over 100,000 bins from the lowest
+    edge to the largest value raises :class:`DataError`, and so does one too
+    narrow for float edges to tell the values apart: values 2**52 or more
+    widths from 0.
     """
     vals = np.asarray(list(values), dtype=np.int64)
     if vals.size == 0:
         raise EmptySelectionError("cannot build a histogram from no values")
     if not 0 < bin_width < math.inf:
         raise ValueError("bin_width must be positive and finite")
-    # span from min(min, 0) in Python ints, so it cannot wrap; keeps the edge guard finite
-    if int(vals.max()) - min(int(vals.min()), 0) > _MAX_BINS * bin_width:
-        raise DataError(f"bin width {bin_width!r}: over {_MAX_BINS:,} bins up to {vals.max()}")
+    # the bins of the smallest and the largest value, as exact fractions of the
+    # width in Python ints, so nothing wraps or rounds
+    low, high = int(vals.min()), int(vals.max())
+    num, den = float(bin_width).as_integer_ratio()
+    first, last = low * den // num, high * den // num
+    if last - first >= _MAX_BINS:
+        raise DataError(
+            f"bin width {bin_width!r}: over {_MAX_BINS:,} bins from {low} to {high}"
+        )
+    if max(-first, last) >= 2**52:  # keeps the edge guard below finite
+        raise DataError(f"bin width {bin_width!r}: too narrow for values from {low} to {high}")
 
     lowest = math.floor(vals.min() / bin_width) * bin_width
     while lowest > vals.min():  # guard against upward rounding of the product

@@ -189,7 +189,7 @@ class TestLoadCorpus:
             load_corpus(tmp_path / "absent")
 
     def test_match_to_json_reads_back_as_the_same_match(self, small_odi):
-        assert fixtures.match_to_json is match_to_json  # write_corpus's writer
+        assert fixtures.match_json_text is ball_log.match_json_text  # write_corpus's writer
         for match in small_odi:
             text = json.dumps(match_to_json(match))
             assert parse_match(text, match_id=match.match_id) == match
@@ -953,3 +953,106 @@ def test_format_spellings_name_one_format(tmp_path):
     conflict = text + "m1, T20I ,2,0,2,true,0,0,none,false\n"
     got, want = read_both(conflict)
     assert got == want == "conflicting formats for match 'm1' (at line 5)"
+
+
+def refuse_rows(monkeypatch):
+    """Make the row reader fail if called, so only the columnar reader can read."""
+    def refuse(text):
+        raise AssertionError("the row reader was called")
+    monkeypatch.setattr(ball_log, "_matches_from_rows", refuse)
+
+
+@pytest.mark.parametrize("name, seed", CSV_CORPORA, ids=[f"{n}-{s}" for n, s in CSV_CORPORA])
+def test_exported_logs_are_read_a_column_at_a_time(tmp_path, monkeypatch, demo, name, seed):
+    matches = demo if seed is None else synthetic_corpus(MatchFormat(name), 6, seed=seed)
+    text = exported_text(matches, tmp_path)
+    want = reference_csv_matches(text)
+    refuse_rows(monkeypatch)
+    assert ball_log._matches_from_csv(text) == (want, [])
+
+
+ROWS = ["m1,t20i,1,0,1,true,1,0,none,false", "m1,t20i,1,0,2,false,0,1,wide,false",
+        "m1,t20i,1,0,2,true,4,0,none,true", "m1,t20i,2,0,1,true,0,2,leg_bye,false"]
+
+
+def log(*rows, end="\n"):
+    return end.join([CSV_HEADER, *rows]) + end
+
+
+def with_cell(row, field, token):
+    cells = row.split(",")
+    cells[field] = token
+    return ",".join(cells)
+
+
+# name -> (log, whether the columnar reader takes it rather than the row reader)
+EDGE_LOGS = {
+    "crlf": (log(*ROWS, end="\r\n"), False),
+    "blank_line": (log(ROWS[0], "", *ROWS[1:]), False),
+    "no_final_newline": (log(*ROWS)[:-1], False),
+    "header_only": (log(), True),
+    "non_ascii_match_id": (log(*(row.replace("m1", "mé-中") for row in ROWS)), True),
+    "innings_split_by_another_match": (
+        log(ROWS[0], ROWS[0].replace("m1", "m2"), *ROWS[1:]), False
+    ),
+    "token_of_7_bytes": (log(with_cell(ROWS[0], 1, " T20i  "), *ROWS[1:]), True),
+    "token_of_8_bytes": (log(with_cell(ROWS[0], 1, "  T20i  "), *ROWS[1:]), False),
+    "integer_of_18_digits": (log(*ROWS[:3], with_cell(ROWS[3], 3, "1" * 18)), True),
+    "integer_of_19_digits": (log(*ROWS[:3], with_cell(ROWS[3], 3, "1" * 19)), False),
+}
+
+
+@pytest.mark.parametrize("case", EDGE_LOGS)
+def test_csv_reader_agrees_with_the_reference_on_edge_logs(monkeypatch, case):
+    text, columnar = EDGE_LOGS[case]
+    got, want = read_both(text)
+    assert isinstance(want, list) and got == want
+    refuse_rows(monkeypatch)
+    if columnar:
+        assert ball_log._matches_from_csv(text)[0] == want
+    else:
+        with pytest.raises(AssertionError, match="row reader"):
+            ball_log._matches_from_csv(text)
+
+
+@pytest.mark.parametrize("cell, spoiled", [("m1", b"m\xff"), ("none", b"n\xffne")])
+def test_log_that_is_not_utf8_is_refused_at_its_byte(tmp_path, cell, spoiled):
+    # the columnar reader decodes only match ids and tokens, at the first row of each
+    raw = log(*ROWS).encode()
+    at = raw.index(cell.encode(), raw.index(ROWS[2].encode()))
+    (tmp_path / "log.csv").write_bytes(raw[:at] + spoiled + raw[at + len(cell):])
+    [diagnostic] = load_corpus(tmp_path).diagnostics
+    assert diagnostic.message == f"document is not valid UTF-8 (at byte {at + 1})"
+
+
+# ---------------------------------------------------------------------------
+# the text writer of match documents against json.dumps
+
+
+def every_delivery_match(teams, venue):
+    """A match with every extras kind, with and without a wicket, in each innings."""
+    rows = [(i, 1, 1, 2, kind.code, wicket)
+            for i, (kind, wicket) in enumerate((k, w) for k in ExtrasKind for w in (False, True))]
+    innings = [InningsRecord(index, team, *zip(*rows)) for index, team in enumerate(teams, 1)]
+    return MatchRecord("odd-names", MatchFormat.T20I, date(2020, 2, 29), teams, venue, innings)
+
+
+ODD_NAME_MATCHES = [
+    every_delivery_match(('Quote "Q" XI', "Back\\slash CC"), "Tab\tand\nnewline\x00\x1f Oval"),
+    every_delivery_match(("Zürich Löwen", "東京 🏏"), "\u2028 Park \\\"\x7f"),
+]
+
+
+@pytest.mark.parametrize("name, seed", CSV_CORPORA + [("odd_names", None)],
+                         ids=[f"{n}-{s}" for n, s in CSV_CORPORA] + ["odd_names"])
+def test_match_json_text_is_the_text_json_dumps_writes(demo, name, seed):
+    if name == "odd_names":
+        matches = ODD_NAME_MATCHES
+        covered = {(d.extras_kind, d.wicket)
+                   for m in matches for inn in m.innings for d in inn.deliveries}
+        assert covered == {(kind, wicket) for kind in ExtrasKind for wicket in (False, True)}
+    else:
+        matches = demo if seed is None else synthetic_corpus(MatchFormat(name), 6, seed=seed)
+    for match in matches:
+        want = json.dumps(match_to_json(match), indent=2, sort_keys=True) + "\n"
+        assert ball_log.match_json_text(match) == want

@@ -7,13 +7,12 @@ import json
 import pytest
 
 from rainrule import MatchFormat, fit_dl_family, resource_table, resource_table_csv
-from rainrule.ball_log import CSV_HEADER
+from rainrule.ball_log import CSV_HEADER, match_to_json
 from rainrule.cli import main
 from rainrule.fixtures import (
     demo_corpus,
     exponential_profile_corpus,
     fixture_path,
-    match_to_json,
     synthetic_corpus,
     write_corpus,
 )

@@ -33,8 +33,10 @@ class TestFitDlCurve:
         assert curve.rss < 1e-10
 
     def test_needs_two_distinct_points(self):
-        with pytest.raises(InsufficientDataError):
-            fit_dl_curve([5.0], [100.0], w=0)
+        message = "need at least 2 distinct overs-remaining points, have 1"
+        for u in ([5.0], [5.0, 5.0]):
+            with pytest.raises(InsufficientDataError, match=f"^{message}$"):
+                fit_dl_curve(u, [100.0] * len(u), w=0)
 
     def test_value_properties(self):
         curve = DLCurve(w=0, z0=250.0, decay=0.04)

@@ -102,6 +102,26 @@ def test_batch_commands_load_no_target_engine(tmp_path, command, unused):
     assert "rainrule.target_engine" not in modules and unused not in modules
 
 
+def masked_array_modules(modules) -> set[str]:
+    return {m for m in modules if m == "numpy.ma" or m.startswith("numpy.ma.")}
+
+
+FITTING_COMMANDS = {
+    "curves": ("curves", "--fixture", "--out", "out"),
+    "compare": ("compare", "--fixture", "--scenario", str(fixture_path("example_scenario.json")),
+                "--fits", str(fixture_path("example_fits.json")), "--out", "out"),
+}
+
+
+@pytest.mark.parametrize("command", FITTING_COMMANDS)
+def test_fitting_commands_load_no_masked_arrays(tmp_path, command):
+    # what ``import numpy`` alone loads of ``numpy.ma`` differs by release, so it is not counted
+    numpy_alone = fresh_python("-c", "import sys, numpy; print(*sys.modules)", cwd=tmp_path)
+    code, _, modules = run_cli(tmp_path, *FITTING_COMMANDS[command])
+    assert code == 0
+    assert masked_array_modules(modules) - set(numpy_alone.stdout.split()) == set()
+
+
 def test_every_public_name_resolves_to_its_home():
     listed = dir(rainrule)
     for name in rainrule.__all__[:-1]:  # all but __version__

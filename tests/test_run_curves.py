@@ -25,6 +25,7 @@ from rainrule import (
     wicket_curve,
     wicket_curves,
 )
+from rainrule.run_curves import distinct_count
 from datetime import date
 
 
@@ -205,11 +206,18 @@ class TestFitPoly:
 
     def test_too_few_distinct_balls_is_singular(self):
         tiny = planted_curve(-0.001, 1.0, 0.5, [10, 20, 30])
-        with pytest.raises(SingularFitError):
+        message = "^need at least {} distinct ball values for a degree-{} fit, have {}$"
+        with pytest.raises(SingularFitError, match=message.format(4, 3, 3)):
             fit_poly(tiny, degree=3)
         single = planted_curve(0.0, 1.0, 0.5, [10])
-        with pytest.raises(SingularFitError):
+        with pytest.raises(SingularFitError, match=message.format(3, 2, 1)):
             fit_poly(single, degree=2)
+
+    @pytest.mark.parametrize("values", [[], [1.0], [2.0, 1.0, 2.0], [0.0, -0.0],
+                                        [np.nan, 1.0, np.nan], [np.inf, -np.inf, np.inf]])
+    def test_distinct_count_counts_as_np_unique_does(self, values):
+        values = np.array(values, dtype=float)
+        assert distinct_count(values) == np.unique(values).size
 
     def test_degree_validation(self):
         curve = planted_curve(0.0, 1.0, 0.5, range(1, 20))

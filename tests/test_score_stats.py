@@ -119,6 +119,26 @@ class TestBuildHistogram:
         assert hist.bin_lower_edges.tolist() == [-20.0, -10.0, 0.0]
         assert hist.counts.tolist() == [1, 0, 2]
 
+    def test_the_bin_cap_counts_from_the_lowest_edge(self):
+        # the cap was measured up from 0, so six bins of large values were refused
+        hist = build_histogram([1_000_000_000, 1_000_000_005], 1.0)
+        assert hist.bin_lower_edges.tolist() == [1e9 + k for k in range(6)]
+        assert hist.counts.tolist() == [1, 0, 0, 0, 0, 1]
+        assert build_histogram([7, 100_006], 1.0).counts.size == 100_000
+        with pytest.raises(DataError, match="over 100,000 bins from 7 to 100007$"):
+            build_histogram([7, 100_007], 1.0)
+
+    def test_the_bin_cap_message_names_both_ends(self):
+        # it named only the largest value: "over 100,000 bins up to 5"
+        with pytest.raises(DataError) as caught:
+            build_histogram([-150_000, 0, 5], 1.0)
+        assert str(caught.value) == "bin width 1.0: over 100,000 bins from -150000 to 5"
+
+    def test_rejects_a_width_too_narrow_for_float_edges(self):
+        # six bins, but no float edge between 1e18 and 1e18 + 5
+        with pytest.raises(DataError, match="too narrow for values from 10{18} to 10{17}5$"):
+            build_histogram([10**18, 10**18 + 5], 1.0)
+
 
 class TestFitNormal:
     def test_recovers_planted_parameters(self):
