@@ -18,11 +18,12 @@ __version__ = "0.1.0"
 # the one table of public names, by home module
 _HOMES = {
     "ball_log": (
-        "CSV_HEADER", "Corpus", "Delivery", "Diagnostic", "ExtrasKind", "InningsRecord",
-        "InningsTrajectory", "MatchFormat", "MatchRecord", "ParseWarning", "export_csv",
-        "innings_trajectories", "load_corpus", "match_json_text", "match_to_json", "parse_match",
-        "qualifying_trajectories", "trajectory",
+        "Corpus", "Delivery", "Diagnostic", "ExtrasKind", "InningsRecord", "InningsTrajectory",
+        "MatchFormat", "MatchRecord", "ParseWarning", "innings_trajectories", "load_corpus",
+        "parse_match", "qualifying_trajectories", "trajectory",
     ),
+    "cricsheet": ("match_json_text", "match_to_json"),
+    "csv_log": ("CSV_HEADER", "export_csv"),
     "dl_reference": (
         "DLCurve", "DLFamily", "ResourceTable", "fit_dl_curve", "fit_dl_family",
         "load_resource_table", "remaining_run_means", "resource_table", "resource_table_csv",

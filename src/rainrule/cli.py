@@ -98,12 +98,17 @@ def _emit(args: argparse.Namespace, name: str, payload: dict) -> None:
 
 
 def cmd_ingest(args: argparse.Namespace) -> None:
-    from .ball_log import MatchFormat, export_csv
+    from .ball_log import MatchFormat
 
     corpus = _corpus(args)
     for diag in corpus.diagnostics:
         print(f"warning: {diag.source}: {diag.message}", file=sys.stderr)
     matches = [m for m in corpus if args.format in (None, m.format)]
+    # the log is written before the report, so a failed export reports no success
+    if matches and args.export_csv is not None:
+        from .csv_log import export_csv
+
+        rows = export_csv(matches, args.export_csv)
     print(f"matches: {len(matches)}")
     for fmt in MatchFormat:
         print(f"  {fmt.value}: {sum(m.format is fmt for m in matches)}")
@@ -115,7 +120,6 @@ def cmd_ingest(args: argparse.Namespace) -> None:
         noun = "match" if read == 1 else "matches"
         raise EmptySelectionError(f"no {args.format.value} match among the {read} {noun} read")
     if args.export_csv is not None:
-        rows = export_csv(matches, args.export_csv)
         print(f"exported {rows} deliveries to {args.export_csv}")
 
 

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .ball_log import ExtrasKind, InningsRecord, MatchFormat, MatchRecord, match_json_text
+from .ball_log import ExtrasKind, InningsRecord, MatchFormat, MatchRecord
 
 __all__ = [
     "DEFAULT_SEED",
@@ -203,6 +203,8 @@ def exponential_profile_corpus(format: MatchFormat) -> list[MatchRecord]:
 
 def write_corpus(matches, directory: str | Path) -> list[Path]:
     """Write one ``<match_id>.json`` per match; returns the sorted paths."""
+    from .cricsheet import match_json_text
+
     root = Path(directory)
     root.mkdir(parents=True, exist_ok=True)
     paths = []

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import sys
 from datetime import date
 
 import numpy as np
@@ -25,7 +26,7 @@ from rainrule import (
     qualifying_trajectories,
     trajectory,
 )
-from rainrule import ball_log, fixtures
+from rainrule import ball_log, cricsheet, csv_log, fixtures
 from rainrule.fixtures import fixture_path, synthetic_corpus, write_corpus
 
 
@@ -189,13 +190,13 @@ class TestLoadCorpus:
             load_corpus(tmp_path / "absent")
 
     def test_match_to_json_reads_back_as_the_same_match(self, small_odi):
-        assert fixtures.match_json_text is ball_log.match_json_text  # write_corpus's writer
         for match in small_odi:
             text = json.dumps(match_to_json(match))
             assert parse_match(text, match_id=match.match_id) == match
 
     def test_write_corpus_round_trip(self, tmp_path, small_odi):
-        write_corpus(small_odi, tmp_path)
+        paths = write_corpus(small_odi, tmp_path)
+        assert [p.read_text() for p in paths] == [cricsheet.match_json_text(m) for m in small_odi]
         corpus = load_corpus(tmp_path)
         assert [m.match_id for m in corpus] == [m.match_id for m in small_odi]
         for got, want in zip(corpus, small_odi):
@@ -845,7 +846,7 @@ def reference_csv_matches(text):
 def read_both(text):
     """What the CSV reader and the reference each make of ``text``: records or an error."""
     outcomes = []
-    for reader in (lambda t: ball_log._matches_from_csv(t)[0], reference_csv_matches):
+    for reader in (csv_log.read_log, reference_csv_matches):
         try:
             outcomes.append(reader(text))
         except ParseError as e:
@@ -955,11 +956,16 @@ def test_format_spellings_name_one_format(tmp_path):
     assert got == want == "conflicting formats for match 'm1' (at line 5)"
 
 
-def refuse_rows(monkeypatch):
-    """Make the row reader fail if called, so only the columnar reader can read."""
-    def refuse(text):
-        raise AssertionError("the row reader was called")
-    monkeypatch.setattr(ball_log, "_matches_from_rows", refuse)
+def record_builders(monkeypatch):
+    """The set that collects the name of each function in which the CSV reader builds an innings."""
+    builders = set()
+
+    def build(*args):
+        builders.add(sys._getframe(1).f_code.co_name)
+        return InningsRecord(*args)
+
+    monkeypatch.setattr(csv_log, "InningsRecord", build)
+    return builders
 
 
 @pytest.mark.parametrize("name, seed", CSV_CORPORA, ids=[f"{n}-{s}" for n, s in CSV_CORPORA])
@@ -967,8 +973,9 @@ def test_exported_logs_are_read_a_column_at_a_time(tmp_path, monkeypatch, demo, 
     matches = demo if seed is None else synthetic_corpus(MatchFormat(name), 6, seed=seed)
     text = exported_text(matches, tmp_path)
     want = reference_csv_matches(text)
-    refuse_rows(monkeypatch)
-    assert ball_log._matches_from_csv(text) == (want, [])
+    builders = record_builders(monkeypatch)
+    assert csv_log.read_log(text) == want
+    assert builders == {"read_log"}  # one record builder: no fallback reader remains
 
 
 ROWS = ["m1,t20i,1,0,1,true,1,0,none,false", "m1,t20i,1,0,2,false,0,1,wide,false",
@@ -985,34 +992,38 @@ def with_cell(row, field, token):
     return ",".join(cells)
 
 
-# name -> (log, whether the columnar reader takes it rather than the row reader)
+# valid logs at the edges of the column arithmetic: odd layouts, spellings, lengths and ids
 EDGE_LOGS = {
-    "crlf": (log(*ROWS, end="\r\n"), False),
-    "blank_line": (log(ROWS[0], "", *ROWS[1:]), False),
-    "no_final_newline": (log(*ROWS)[:-1], False),
-    "header_only": (log(), True),
-    "non_ascii_match_id": (log(*(row.replace("m1", "mé-中") for row in ROWS)), True),
-    "innings_split_by_another_match": (
-        log(ROWS[0], ROWS[0].replace("m1", "m2"), *ROWS[1:]), False
-    ),
-    "token_of_7_bytes": (log(with_cell(ROWS[0], 1, " T20i  "), *ROWS[1:]), True),
-    "token_of_8_bytes": (log(with_cell(ROWS[0], 1, "  T20i  "), *ROWS[1:]), False),
-    "integer_of_18_digits": (log(*ROWS[:3], with_cell(ROWS[3], 3, "1" * 18)), True),
-    "integer_of_19_digits": (log(*ROWS[:3], with_cell(ROWS[3], 3, "1" * 19)), False),
+    "crlf": log(*ROWS, end="\r\n"),
+    "cr_only": log(*ROWS, end="\r"),
+    "line_separator": log(*ROWS, end="\u2028"),
+    "blank_line": log(ROWS[0], "", *ROWS[1:]),
+    "whitespace_only_line": log(ROWS[0], " \t ", *ROWS[1:]),
+    "no_final_newline": log(*ROWS)[:-1],
+    "header_only": log(),
+    "non_ascii_match_id": log(*(row.replace("m1", "mé-中") for row in ROWS)),
+    "lone_surrogate_match_id": log(*(row.replace("m1", "m\ud800") for row in ROWS)),
+    "innings_split_by_another_match": log(ROWS[0], ROWS[0].replace("m1", "m2"), *ROWS[1:]),
+    "token_of_7_bytes": log(with_cell(ROWS[0], 1, " T20i  "), *ROWS[1:]),
+    "token_of_8_bytes": log(with_cell(ROWS[0], 1, "  T20i  "), *ROWS[1:]),
+    "kind_of_8_bytes": log(with_cell(ROWS[0], 8, " none   "), *ROWS[1:]),
+    "integer_of_18_digits": log(*ROWS[:3], with_cell(ROWS[3], 3, "1" * 18)),
+    "integer_of_19_digits": log(*ROWS[:3], with_cell(ROWS[3], 3, "1" * 19)),
+    "small_integer_of_19_digits": log(with_cell(ROWS[0], 6, "0" * 18 + "4"), *ROWS[1:]),
+    "underscored_integer": log(with_cell(ROWS[0], 6, "1_0"), *ROWS[1:]),
+    "arabic_indic_digit": log(with_cell(ROWS[0], 6, "\u0663"), *ROWS[1:]),
 }
 
 
 @pytest.mark.parametrize("case", EDGE_LOGS)
 def test_csv_reader_agrees_with_the_reference_on_edge_logs(monkeypatch, case):
-    text, columnar = EDGE_LOGS[case]
+    text = EDGE_LOGS[case]
+    builders = record_builders(monkeypatch)
     got, want = read_both(text)
     assert isinstance(want, list) and got == want
-    refuse_rows(monkeypatch)
-    if columnar:
-        assert ball_log._matches_from_csv(text)[0] == want
-    else:
-        with pytest.raises(AssertionError, match="row reader"):
-            ball_log._matches_from_csv(text)
+    assert builders == ({"read_log"} if want else set())
+    if len(want) == 1:  # a str document of one match, as parse_match takes it
+        assert parse_match(text) == want[0]
 
 
 @pytest.mark.parametrize("cell, spoiled", [("m1", b"m\xff"), ("none", b"n\xffne")])
@@ -1055,4 +1066,4 @@ def test_match_json_text_is_the_text_json_dumps_writes(demo, name, seed):
         matches = demo if seed is None else synthetic_corpus(MatchFormat(name), 6, seed=seed)
     for match in matches:
         want = json.dumps(match_to_json(match), indent=2, sort_keys=True) + "\n"
-        assert ball_log.match_json_text(match) == want
+        assert cricsheet.match_json_text(match) == want

@@ -7,7 +7,8 @@ import json
 import pytest
 
 from rainrule import MatchFormat, fit_dl_family, resource_table, resource_table_csv
-from rainrule.ball_log import CSV_HEADER, match_to_json
+from rainrule.cricsheet import match_to_json
+from rainrule.csv_log import CSV_HEADER
 from rainrule.cli import main
 from rainrule.fixtures import (
     demo_corpus,
@@ -98,6 +99,15 @@ class TestIngest:
         assert "t20i: 8" in captured.out
         assert "ipl: 8" in captured.out
         assert out_csv.read_text().splitlines()[0] == CSV_HEADER
+
+    def test_failed_export_reports_no_success(self, data_dir, tmp_path, capsys):
+        out_csv = tmp_path / "absent" / "log.csv"
+        code = main(["ingest", "--data-dir", str(data_dir), "--export-csv", str(out_csv)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: [Errno 2] No such file or directory")
+        assert not out_csv.parent.exists()
 
     def test_until_filters_by_date(self, data_dir, capsys):
         code = main(["ingest", "--data-dir", str(data_dir), "--until", "2019-01-05"])

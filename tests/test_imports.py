@@ -84,14 +84,28 @@ def test_target_imports_no_numpy(tmp_path, case):
     }
 
 
+FORMAT_MODULES = {"rainrule.cricsheet", "rainrule.csv_log"}
+
+
 def test_ingest_imports_only_the_reader(tmp_path):
     write_corpus(synthetic_corpus(MatchFormat.T20I, 2, seed=3), tmp_path / "data")
     code, _, modules = run_cli(tmp_path, "ingest", "--data-dir", "data")
     assert code == 0
-    assert "rainrule.ball_log" in modules
-    for unused in ("rainrule.leastsq", "rainrule.dl_reference", "rainrule.fixtures",
-                   "rainrule.target_engine"):
+    assert "rainrule.cricsheet" in modules
+    for unused in ("rainrule.csv_log", "rainrule.leastsq", "rainrule.dl_reference",
+                   "rainrule.fixtures", "rainrule.target_engine"):
         assert unused not in modules
+
+
+def test_each_format_module_loads_only_where_its_format_is_read_or_written(tmp_path):
+    write_corpus(synthetic_corpus(MatchFormat.T20I, 20, seed=3), tmp_path / "json")
+    (tmp_path / "log").mkdir()
+    code, _, modules = run_cli(tmp_path, "ingest", "--data-dir", "json",
+                               "--export-csv", "log/balls.csv")
+    assert code == 0 and FORMAT_MODULES <= modules
+    for source, loaded in (("json", "rainrule.cricsheet"), ("log", "rainrule.csv_log")):
+        code, _, modules = run_cli(tmp_path, "stats", "--data-dir", source, "--out", "out")
+        assert code == 0 and modules & FORMAT_MODULES == {loaded}, source
 
 
 @pytest.mark.parametrize("command, unused", [("stats", "rainrule.run_curves"),
@@ -100,6 +114,7 @@ def test_batch_commands_load_no_target_engine(tmp_path, command, unused):
     code, _, modules = run_cli(tmp_path, command, "--fixture", "--out", "out")
     assert code == 0
     assert "rainrule.target_engine" not in modules and unused not in modules
+    assert not modules & FORMAT_MODULES  # the fixture corpus is built in memory
 
 
 def masked_array_modules(modules) -> set[str]:
