@@ -27,6 +27,7 @@ from pathlib import Path
 # target_engine, fits and errors
 from .errors import (
     DataError,
+    DegenerateCurveError,
     EmptySelectionError,
     FitError,
     InvalidScenarioError,
@@ -204,7 +205,8 @@ def cmd_curves(args: argparse.Namespace) -> None:
 
 
 def _revise(args: argparse.Namespace) -> tuple:
-    """(scenario document, scenario, revision JSON); nothing left to chase exits 3."""
+    """(scenario document, scenario, revision JSON); nothing left to chase exits 3,
+    and a ratio outside [0, 1], a curve negative over the lost balls, exits 4."""
     from . import target_engine
 
     doc = _read_json(args.scenario)
@@ -212,7 +214,12 @@ def _revise(args: argparse.Namespace) -> tuple:
     fits_doc = _read_json(args.fits)
     fit = fit_from_json(fits_doc, scenario.wickets_at_stoppage, str(args.fits))
     revision = target_engine.revise_target(fit, scenario)
-    if revision.ratio <= 0.0:
+    if not 0.0 <= revision.ratio <= 1.0:
+        raise DegenerateCurveError(
+            f"area ratio is {revision.ratio!r}, outside [0, 1]: the fitted curve is "
+            "negative over the lost balls; fit unusable for target revision"
+        )
+    if revision.ratio == 0.0:
         print(json.dumps({"ratio": 0.0}, indent=2, sort_keys=True))
         raise InvalidScenarioError(
             "nothing to chase: every scheduled ball falls inside the lost interval"

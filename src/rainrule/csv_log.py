@@ -252,20 +252,33 @@ def _words(buf: np.ndarray) -> np.ndarray:
 
 
 def export_csv(matches: Iterable[MatchRecord], destination: str | Path) -> int:
-    """Write matches as the canonical CSV ball log; returns the row count."""
-    lines = [CSV_HEADER]
-    for match in matches:
-        mid = match.match_id
-        if "," in mid or "".join(mid.splitlines()) != mid:  # would split on reading
+    """Write matches as the canonical CSV ball log; returns the row count.
+
+    Every match id is checked before the file is opened, so a refused id writes
+    nothing; each innings is then written at once, each distinct row tail (the
+    fields after the innings index) formatted once."""
+    matches = list(matches)
+    for mid in (match.match_id for match in matches):
+        # a comma or a line break would split on reading; a lone surrogate has no UTF-8
+        if ("," in mid or "".join(mid.splitlines()) != mid
+                or mid.encode(errors="ignore").decode() != mid):
             raise DataError(f"match id {mid!r} cannot be written to a CSV ball log")
-        for inn in match.innings:
-            head = f"{mid},{match.format.value},{inn.innings_index}"
-            columns = (inn.over, inn.ball_in_over, inn.legal, inn.batter_runs, inn.extras_runs,
-                       inn.kind, inn.wicket)
-            lines.extend(
-                f"{head},{o},{b},{_CSV_BOOL[ok]},{r},{x},{_KIND_NAMES[k]},{_CSV_BOOL[w]}"
-                for o, b, ok, r, x, k, w in zip(*(column.tolist() for column in columns))
-            )
-    payload = "\n".join(lines) + "\n"
-    Path(destination).write_text(payload, encoding="utf-8", newline="\n")
-    return len(lines) - 1
+    tails: dict[tuple, str] = {}
+    rows = 0
+    with open(destination, "w", encoding="utf-8", newline="\n") as out:
+        out.write(CSV_HEADER + "\n")
+        for match in matches:
+            for inn in match.innings:
+                head = f"{match.match_id},{match.format.value},{inn.innings_index},"
+                columns = (inn.over, inn.ball_in_over, inn.legal, inn.batter_runs,
+                           inn.extras_runs, inn.kind, inn.wicket)
+                out.write("".join(head + (tails.get(row) or _tail(tails, row))
+                                  for row in zip(*(column.tolist() for column in columns))))
+                rows += inn.over.size
+    return rows
+
+
+def _tail(tails: dict[tuple, str], row: tuple) -> str:
+    o, b, ok, r, x, k, w = row
+    tails[row] = f"{o},{b},{_CSV_BOOL[ok]},{r},{x},{_KIND_NAMES[k]},{_CSV_BOOL[w]}\n"
+    return tails[row]

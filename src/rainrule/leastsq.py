@@ -54,16 +54,20 @@ def damped_gauss_newton(
     r = residuals(p)
     rss = float(r @ r)
     lam = _LAMBDA_START
+    moved = True
 
     for iteration in range(1, _MAX_ITER + 1):
-        jac = jacobian(p)
-        normal = jac.T @ jac
-        gradient = jac.T @ r
-        diag = np.diag(normal).copy()
-        diag[diag <= 0.0] = 1.0
+        if moved:  # the normal equations at p; a rejected step leaves them as they are
+            jac = jacobian(p)
+            normal = jac.T @ jac
+            downhill = -(jac.T @ r)
+            diag = np.diag(normal).copy()
+            diag[diag <= 0.0] = 1.0
+            damping = np.diag(diag)
+            moved = False
 
         try:
-            step = np.linalg.solve(normal + lam * np.diag(diag), -gradient)
+            step = np.linalg.solve(normal + lam * damping, downhill)
         except np.linalg.LinAlgError:
             lam = min(lam * _LAMBDA_GROW, _LAMBDA_MAX)
             continue
@@ -79,7 +83,7 @@ def damped_gauss_newton(
         rss_new = float(r_new @ r_new)
         if rss_new <= rss:
             change = rss - rss_new
-            p, r, rss = candidate, r_new, rss_new
+            p, r, rss, moved = candidate, r_new, rss_new, True
             lam = lam / _LAMBDA_SHRINK
             if change <= _REL_TOL * max(rss, np.finfo(float).tiny):
                 return FitOutcome(p, rss, iteration, True)

@@ -23,15 +23,13 @@ from .errors import DegenerateCurveError, InvalidScenarioError
 from .fits import PolyFit, Record
 
 __all__ = [
-    "InterruptionScenario",
-    "RevisedTarget",
-    "area_full",
-    "area_interrupted",
-    "resource_ratio",
-    "revise_target",
-    "scenario_from_json",
-    "revision_to_json",
+    "InterruptionScenario", "RevisedTarget", "area_full", "area_interrupted",
+    "resource_ratio", "revise_target", "scenario_from_json", "revision_to_json",
 ]
+
+_set = object.__setattr__
+_ORDER = "{}: intervals must satisfy 0 <= n <= m <= N in order"
+_INF = math.inf
 
 
 class InterruptionScenario(Record):
@@ -44,9 +42,8 @@ class InterruptionScenario(Record):
     and non-overlapping.
     """
 
-    __slots__ = (
-        "n", "m", "N", "target_score", "current_score", "wickets_at_stoppage", "more_intervals"
-    )
+    __slots__ = ("n", "m", "N", "target_score", "current_score", "wickets_at_stoppage",
+                 "more_intervals")
 
     def __init__(
         self, n: int, m: int, N: int, target_score: int, current_score: int,
@@ -64,22 +61,22 @@ class InterruptionScenario(Record):
             )
         if not 0 <= wickets_at_stoppage <= 10:
             raise InvalidScenarioError("wickets_at_stoppage: must be in [0, 10]")
-        more_intervals = tuple(tuple(p) for p in more_intervals)
-        last = 0
-        for i, (start, restart) in enumerate(((n, m),) + more_intervals):
-            label = "n/m" if i == 0 else f"more_intervals[{i - 1}]"
+        if type(more_intervals) is not tuple or more_intervals:  # () needs no work
+            more_intervals = tuple(map(tuple, more_intervals))
+        if not 0 <= n <= m <= N:
+            raise InvalidScenarioError(_ORDER.format("n/m"))
+        last = m
+        for i, (start, restart) in enumerate(more_intervals):
             if not last <= start <= restart <= N:
-                raise InvalidScenarioError(
-                    f"{label}: intervals must satisfy 0 <= n <= m <= N in order"
-                )
+                raise InvalidScenarioError(_ORDER.format(f"more_intervals[{i}]"))
             last = restart
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "N", N)
-        object.__setattr__(self, "target_score", target_score)
-        object.__setattr__(self, "current_score", current_score)
-        object.__setattr__(self, "wickets_at_stoppage", wickets_at_stoppage)
-        object.__setattr__(self, "more_intervals", more_intervals)
+        _set(self, "n", n)
+        _set(self, "m", m)
+        _set(self, "N", N)
+        _set(self, "target_score", target_score)
+        _set(self, "current_score", current_score)
+        _set(self, "wickets_at_stoppage", wickets_at_stoppage)
+        _set(self, "more_intervals", more_intervals)
 
     @property
     def intervals(self) -> tuple[tuple[int, int], ...]:
@@ -90,12 +87,21 @@ class InterruptionScenario(Record):
 RevisedTarget = namedtuple("RevisedTarget", ("ratio", "runs_remaining", "revised_total"))
 
 
+# the one home of each closed form, whose caller has checked its bounds
+def _full(a, b, c, N):
+    return N * N * (N * (3 * a * N + 4 * b) + 6 * c) / 12
+
+
+def _interrupted(a, b, c, n, m, N):
+    return (3 * a * (n**4 + N**4 - m**4) + 4 * b * (n**3 + N**3 - m**3)
+            + 6 * c * (n**2 + N**2 - m**2)) / 12
+
+
 def area_full(fit: PolyFit, N: int):
     """Area under the fitted curve over the whole innings [0, N]."""
     if N <= 0:
         raise InvalidScenarioError("N: scheduled balls must be positive")
-    a, b, c = fit.a, fit.b, fit.c
-    return N * N * (N * (3 * a * N + 4 * b) + 6 * c) / 12
+    return _full(fit.a, fit.b, fit.c, N)
 
 
 def area_interrupted(fit: PolyFit, n: int, m: int, N: int):
@@ -104,19 +110,11 @@ def area_interrupted(fit: PolyFit, n: int, m: int, N: int):
         raise InvalidScenarioError("n/m/N: must satisfy 0 <= n <= m <= N")
     if N <= 0:
         raise InvalidScenarioError("N: scheduled balls must be positive")
-    a, b, c = fit.a, fit.b, fit.c
-    return (
-        3 * a * (n**4 + N**4 - m**4)
-        + 4 * b * (n**3 + N**3 - m**3)
-        + 6 * c * (n**2 + N**2 - m**2)
-    ) / 12
+    return _interrupted(fit.a, fit.b, fit.c, n, m, N)
 
 
-def _usable(label: str, value, positive: bool = False):
-    # the one finiteness rule of a revision; plain comparisons keep Fractions exact
-    if not (-math.inf < value < math.inf and (value > 0 or not positive)):
-        raise DegenerateCurveError(f"{label} is {value!r}; fit unusable for target revision")
-    return value
+def _unusable(label: str, value) -> DegenerateCurveError:
+    return DegenerateCurveError(f"{label} is {value!r}; fit unusable for target revision")
 
 
 def resource_ratio(fit: PolyFit, scenario: InterruptionScenario) -> float:
@@ -127,15 +125,22 @@ def resource_ratio(fit: PolyFit, scenario: InterruptionScenario) -> float:
     area, so it contributes exactly 1 and is skipped outright; this keeps
     the no-interruption ratio exactly 1.0 in floating point.  A full area not
     finite and positive, or a ratio not finite, is a :class:`DegenerateCurveError`.
+    The scenario's constructor has checked its intervals; plain comparisons
+    keep Fractions exact.
     """
-    full = _usable("full-game area", area_full(fit, scenario.N), positive=True)
-    ratio = None
-    for start, restart in scenario.intervals:
-        if restart == start:
-            continue
-        factor = area_interrupted(fit, start, restart, scenario.N) / full
-        ratio = factor if ratio is None else ratio * factor
-    return 1.0 if ratio is None else _usable("area ratio", ratio)
+    a, b, c, N = fit.a, fit.b, fit.c, scenario.N
+    full = _full(a, b, c, N)
+    if not 0 < full < _INF:
+        raise _unusable("full-game area", full)
+    n, m = scenario.n, scenario.m
+    ratio = None if m == n else _interrupted(a, b, c, n, m, N) / full
+    for start, restart in scenario.more_intervals:
+        if restart != start:
+            factor = _interrupted(a, b, c, start, restart, N) / full
+            ratio = factor if ratio is None else ratio * factor
+    if ratio is not None and not -_INF < ratio < _INF:
+        raise _unusable("area ratio", ratio)
+    return 1.0 if ratio is None else ratio
 
 
 def revise_target(fit: PolyFit, scenario: InterruptionScenario) -> RevisedTarget:
@@ -144,21 +149,15 @@ def revise_target(fit: PolyFit, scenario: InterruptionScenario) -> RevisedTarget
     ``runs_remaining = ratio * (target_score - current_score)`` and the
     revised total is the floor of current score plus that.
     """
-    ratio = resource_ratio(fit, scenario)
-    runs_remaining = _usable(
-        "runs_remaining", ratio * (scenario.target_score - scenario.current_score)
-    )
-    revised_total = math.floor(scenario.current_score + runs_remaining)
-    return RevisedTarget(
-        ratio=ratio, runs_remaining=runs_remaining, revised_total=revised_total
-    )
+    ratio, current = resource_ratio(fit, scenario), scenario.current_score
+    runs_remaining = ratio * (scenario.target_score - current)
+    if not -_INF < runs_remaining < _INF:
+        raise _unusable("runs_remaining", runs_remaining)
+    return RevisedTarget(ratio, runs_remaining, math.floor(current + runs_remaining))
 
 
 # ---------------------------------------------------------------------------
 # JSON interface
-
-
-_SCENARIO_FIELDS = ("n", "m", "N", "target_score", "current_score")
 
 
 def _as_int(value, label: str) -> int:
@@ -182,27 +181,28 @@ def scenario_from_json(doc: dict) -> InterruptionScenario:
     if not isinstance(doc, dict):
         raise InvalidScenarioError("scenario document must be a JSON object")
     try:
-        values = {key: _as_int(doc[key], key) for key in _SCENARIO_FIELDS}
+        n = _as_int(doc["n"], "n")
+        m = _as_int(doc["m"], "m")
+        N = _as_int(doc["N"], "N")
+        target_score = _as_int(doc["target_score"], "target_score")
+        current_score = _as_int(doc["current_score"], "current_score")
     except KeyError as e:
         raise InvalidScenarioError(f"{e.args[0]}: missing required field") from None
     wickets = _as_int(doc.get("wickets", 0), "wickets")
-    try:
-        more_intervals = tuple(
-            (_as_int(a, "more_intervals"), _as_int(b, "more_intervals"))
-            for a, b in doc.get("more_intervals", ())
-        )
-    except (TypeError, ValueError) as e:
-        raise InvalidScenarioError(f"more_intervals: expected [start, restart] pairs ({e})")
-    return InterruptionScenario(
-        **values, wickets_at_stoppage=wickets, more_intervals=more_intervals
-    )
+    more_intervals = ()
+    if "more_intervals" in doc:
+        try:
+            more_intervals = tuple(
+                (_as_int(a, "more_intervals"), _as_int(b, "more_intervals"))
+                for a, b in doc["more_intervals"]
+            )
+        except (TypeError, ValueError) as e:
+            raise InvalidScenarioError(f"more_intervals: expected [start, restart] pairs ({e})")
+    return InterruptionScenario(n, m, N, target_score, current_score, wickets, more_intervals)
 
 
 def revision_to_json(revision: RevisedTarget) -> dict:
     """JSON-ready revision, including the to-win score (revised total + 1)."""
-    return {
-        "ratio": revision.ratio,
-        "runs_remaining": revision.runs_remaining,
-        "revised_total": revision.revised_total,
-        "to_win": revision.revised_total + 1,
-    }
+    total = revision.revised_total
+    return {"ratio": revision.ratio, "runs_remaining": revision.runs_remaining,
+            "revised_total": total, "to_win": total + 1}

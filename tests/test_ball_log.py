@@ -11,6 +11,7 @@ import pytest
 
 from rainrule import (
     CSV_HEADER,
+    DataError,
     ExtrasKind,
     InningsRecord,
     MatchFormat,
@@ -142,6 +143,40 @@ class TestCsvLog:
             assert match.format is original.format
             for got, want in zip(match.innings, original.innings):
                 assert got.deliveries == want.deliveries
+
+    @staticmethod
+    def reference_log(matches) -> str:
+        """The log as a whole-text writer formats it, one row at a time."""
+        lines = [CSV_HEADER]
+        for match in matches:
+            for inn in match.innings:
+                head = f"{match.match_id},{match.format.value},{inn.innings_index}"
+                for o, b, ok, r, x, k, w in zip(inn.over.tolist(), inn.ball_in_over.tolist(),
+                                                inn.legal.tolist(), inn.batter_runs.tolist(),
+                                                inn.extras_runs.tolist(), inn.kind.tolist(),
+                                                inn.wicket.tolist()):
+                    kind = tuple(ExtrasKind)[k].value
+                    lines.append(f"{head},{o},{b},{str(ok).lower()},{r},{x},{kind},"
+                                 f"{str(w).lower()}")
+        return "\n".join(lines) + "\n"
+
+    def test_streamed_log_is_the_whole_text_log(self, tmp_path, small_odi, demo):
+        for matches in (small_odi, demo, []):
+            out = tmp_path / "log.csv"
+            rows = export_csv(iter(matches), out)
+            assert out.read_bytes() == self.reference_log(matches).encode()
+            assert rows == sum(inn.over.size for m in matches for inn in m.innings)
+
+    @pytest.mark.parametrize("bad_id", ["m,1", "m\n1", "m\r1", "m\u20281", "m\ud8001", "m\udcff"])
+    def test_a_bad_match_id_after_good_ones_writes_nothing(self, tmp_path, small_odi, bad_id):
+        first = small_odi[0]
+        bad = MatchRecord(bad_id, first.format, first.date, first.teams, first.venue,
+                          first.innings)
+        out = tmp_path / "log.csv"
+        with pytest.raises(DataError) as info:
+            export_csv(list(small_odi[1:]) + [bad], out)
+        assert str(info.value) == f"match id {bad_id!r} cannot be written to a CSV ball log"
+        assert not out.exists()
 
 
 class TestLoadCorpus:

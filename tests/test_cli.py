@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 
 import pytest
 
@@ -108,6 +109,24 @@ class TestIngest:
         assert captured.out == ""
         assert captured.err.startswith("error: [Errno 2] No such file or directory")
         assert not out_csv.parent.exists()
+
+    def test_a_file_name_that_is_not_utf8_exports_nothing(self, tmp_path, capsys):
+        source = tmp_path / "d"
+        source.mkdir()
+        name = os.fsdecode(b"x\xff.json")  # its match id keeps the byte as a lone surrogate
+        try:
+            (source / name).write_bytes(fixture_path("tiny_odi.json").read_bytes())
+        except (OSError, UnicodeError):
+            pytest.skip("the file system refuses a file name that is not UTF-8")
+        out_csv = tmp_path / "log.csv"
+        code = main(["ingest", "--data-dir", str(source), "--export-csv", str(out_csv)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == (
+            "error: match id 'x\\udcff' cannot be written to a CSV ball log\n"
+        )
+        assert not out_csv.exists()
 
     def test_until_filters_by_date(self, data_dir, capsys):
         code = main(["ingest", "--data-dir", str(data_dir), "--until", "2019-01-05"])
@@ -327,6 +346,40 @@ class TestTarget:
         assert code == 3
         assert json.loads(captured.out)["ratio"] == 0.0
         assert "nothing to chase" in captured.err
+
+    # a cubic with a small positive full area that dips below 0 after ball 221
+    DIPPING_FITS = {"a": -4.06e-5, "b": 5.13e-3, "c": 0.826, "degree": 3}
+
+    @pytest.mark.parametrize("command", ["target", "compare"])
+    @pytest.mark.parametrize(
+        "n, m, ratio",
+        [(100, 150, "-3.533611111111107"), (250, 300, "11.451388888888856")],
+    )
+    def test_ratio_outside_0_1_is_a_degenerate_fit(self, tmp_path, capsys, command, n, m, ratio):
+        doc = dict(WORKED_SCENARIO, wickets=0, n=n, m=m, target_score=250, current_score=0)
+        scenario = write_json(tmp_path / "scenario.json", doc)
+        fits = write_json(tmp_path / "fits.json", self.DIPPING_FITS)
+        code = main([command, "--scenario", str(scenario), "--fits", str(fits)])
+        captured = capsys.readouterr()
+        assert code == 4
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: area ratio is {ratio}, outside [0, 1]: the fitted curve is negative "
+            "over the lost balls; fit unusable for target revision\n"
+        )
+
+    def test_the_dipping_fit_still_revises_where_its_ratio_is_in_0_1(self, tmp_path, capsys):
+        doc = dict(WORKED_SCENARIO, wickets=0, n=0, m=300, target_score=250, current_score=0)
+        fits = write_json(tmp_path / "fits.json", self.DIPPING_FITS)
+        code = main(["target", "--scenario", str(write_json(tmp_path / "s.json", doc)),
+                     "--fits", str(fits)])
+        assert code == 3  # the whole innings lost: a ratio of exactly 0 has nothing to chase
+        assert "nothing to chase" in capsys.readouterr().err
+        doc.update(n=20, m=40)
+        code = main(["target", "--scenario", str(write_json(tmp_path / "s.json", doc)),
+                     "--fits", str(fits)])
+        assert code == 0
+        assert 0.0 < json.loads(capsys.readouterr().out)["ratio"] < 1.0
 
     def test_invalid_scenario_names_field(self, tmp_path, capsys):
         doc = dict(WORKED_SCENARIO, current_score=300)

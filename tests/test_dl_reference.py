@@ -19,7 +19,9 @@ from rainrule import (
     resource_table,
     resource_table_csv,
 )
+from rainrule import dl_reference, leastsq, score_stats
 from rainrule.dl_reference import _pool_nonincreasing
+from rainrule.errors import FitError
 from test_run_curves import flat_innings, one_innings_match
 
 
@@ -240,3 +242,86 @@ class TestResourceTable:
         path.write_text("\n".join(rows[:-1]) + "\n")
         with pytest.raises(ParseError, match="u = 0..max"):
             load_resource_table(path)
+
+
+# ---------------------------------------------------------------------------
+# the solver keeps the normal equations of a point across rejected steps
+
+
+def reference_gauss_newton(residuals, jacobian, p0, *, accept):
+    """The solver loop that rebuilds the normal equations on every iteration,
+    kept as the oracle: (params, rss, iterations, converged)."""
+    p = np.asarray(p0, dtype=float).copy()
+    r = residuals(p)
+    rss = float(r @ r)
+    lam = 1e-3
+    for iteration in range(1, 501):
+        jac = jacobian(p)
+        normal = jac.T @ jac
+        gradient = jac.T @ r
+        diag = np.diag(normal).copy()
+        diag[diag <= 0.0] = 1.0
+        try:
+            step = np.linalg.solve(normal + lam * np.diag(diag), -gradient)
+        except np.linalg.LinAlgError:
+            lam = min(lam * 10.0, 1e12)
+            continue
+        candidate = p + step
+        if not accept(candidate):
+            lam = min(lam * 10.0, 1e12)
+            if lam >= 1e12:
+                return p, rss, iteration, False
+            continue
+        r_new = residuals(candidate)
+        rss_new = float(r_new @ r_new)
+        if rss_new <= rss:
+            change = rss - rss_new
+            p, r, rss = candidate, r_new, rss_new
+            lam = lam / 10.0
+            if change <= 1e-10 * max(rss, np.finfo(float).tiny):
+                return p, rss, iteration, True
+        else:
+            lam = min(lam * 10.0, 1e12)
+            if lam >= 1e12:
+                return p, rss, iteration, True
+    return p, rss, 500, False
+
+
+def test_solver_matches_the_rebuilding_loop_on_every_fixture_fit(demo, monkeypatch):
+    problems = []
+
+    def record(residuals, jacobian, p0, *, accept):
+        problems.append((residuals, jacobian, np.array(p0, dtype=float), accept))
+        return leastsq.damped_gauss_newton(residuals, jacobian, p0, accept=accept)
+
+    monkeypatch.setattr(dl_reference, "damped_gauss_newton", record)
+    monkeypatch.setattr(score_stats, "damped_gauss_newton", record)
+    for fmt in MatchFormat:
+        fit_dl_family(demo, fmt)
+        for innings in (1, 2):
+            values = score_stats.totals(demo, fmt, innings)
+            for width in (5.0, 10.0):
+                try:
+                    score_stats.fit_normal(score_stats.build_histogram(values, width))
+                except FitError:
+                    pass
+    assert len(problems) == 18 + 12  # every exponential state of the fixture, then the normals
+
+    rejected = 0
+    for residuals, jacobian, p0, accept in problems:
+        points = []
+
+        def counted(p):
+            points.append(p.tobytes())
+            return jacobian(p)
+
+        got = leastsq.damped_gauss_newton(residuals, counted, p0, accept=accept)
+        params, rss, iterations, converged = reference_gauss_newton(
+            residuals, jacobian, p0, accept=accept
+        )
+        assert got.params.tobytes() == params.tobytes()
+        assert repr(got.rss) == repr(rss)
+        assert (got.iterations, got.converged) == (iterations, converged)
+        assert len(points) == len(set(points))  # one Jacobian for each point visited
+        rejected += got.iterations - len(points)
+    assert rejected > 0

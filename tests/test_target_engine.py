@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import copy
+import math
 import pickle
+import random
 from fractions import Fraction
 
 import pytest
@@ -379,3 +381,243 @@ class TestRecordContracts:
             assert copy.copy(record) == record
             assert copy.deepcopy(record) == record
             assert pickle.loads(pickle.dumps(record)) == record
+
+
+# ---------------------------------------------------------------------------
+# the one-pass decision path against the layered one it replaced, kept here
+# verbatim as the oracle of every float, every message and their precedence
+
+
+def ref_scenario(n, m, N, target_score, current_score, wickets_at_stoppage=0,
+                 more_intervals=()):
+    """The fields the layered constructor stored, or the error it raised."""
+    if N <= 0:
+        raise InvalidScenarioError("N: scheduled balls must be positive")
+    if target_score <= 0:
+        raise InvalidScenarioError("target_score: must be positive")
+    if current_score < 0:
+        raise InvalidScenarioError("current_score: must be non-negative")
+    if current_score >= target_score:
+        raise InvalidScenarioError(
+            "current_score: chase already complete (current_score >= target_score)"
+        )
+    if not 0 <= wickets_at_stoppage <= 10:
+        raise InvalidScenarioError("wickets_at_stoppage: must be in [0, 10]")
+    more_intervals = tuple(tuple(p) for p in more_intervals)
+    last = 0
+    for i, (start, restart) in enumerate(((n, m),) + more_intervals):
+        label = "n/m" if i == 0 else f"more_intervals[{i - 1}]"
+        if not last <= start <= restart <= N:
+            raise InvalidScenarioError(
+                f"{label}: intervals must satisfy 0 <= n <= m <= N in order"
+            )
+        last = restart
+    return (n, m, N, target_score, current_score, wickets_at_stoppage, more_intervals)
+
+
+def ref_as_int(value, label):
+    if type(value) is float and value.is_integer():
+        value = int(value)
+    if type(value) is not int or not -2**53 <= value <= 2**53:
+        raise InvalidScenarioError(f"{label}: expected an integer, |n| <= 2**53, got {value!r}")
+    return value
+
+
+def ref_scenario_from_json(doc):
+    if not isinstance(doc, dict):
+        raise InvalidScenarioError("scenario document must be a JSON object")
+    try:
+        values = {key: ref_as_int(doc[key], key)
+                  for key in ("n", "m", "N", "target_score", "current_score")}
+    except KeyError as e:
+        raise InvalidScenarioError(f"{e.args[0]}: missing required field") from None
+    wickets = ref_as_int(doc.get("wickets", 0), "wickets")
+    try:
+        more_intervals = tuple(
+            (ref_as_int(a, "more_intervals"), ref_as_int(b, "more_intervals"))
+            for a, b in doc.get("more_intervals", ())
+        )
+    except (TypeError, ValueError) as e:
+        raise InvalidScenarioError(f"more_intervals: expected [start, restart] pairs ({e})")
+    return ref_scenario(**values, wickets_at_stoppage=wickets, more_intervals=more_intervals)
+
+
+def ref_area_full(fit, N):
+    if N <= 0:
+        raise InvalidScenarioError("N: scheduled balls must be positive")
+    a, b, c = fit.a, fit.b, fit.c
+    return N * N * (N * (3 * a * N + 4 * b) + 6 * c) / 12
+
+
+def ref_area_interrupted(fit, n, m, N):
+    if not 0 <= n <= m <= N:
+        raise InvalidScenarioError("n/m/N: must satisfy 0 <= n <= m <= N")
+    if N <= 0:
+        raise InvalidScenarioError("N: scheduled balls must be positive")
+    a, b, c = fit.a, fit.b, fit.c
+    return (
+        3 * a * (n**4 + N**4 - m**4)
+        + 4 * b * (n**3 + N**3 - m**3)
+        + 6 * c * (n**2 + N**2 - m**2)
+    ) / 12
+
+
+def ref_usable(label, value, positive=False):
+    if not (-math.inf < value < math.inf and (value > 0 or not positive)):
+        raise DegenerateCurveError(f"{label} is {value!r}; fit unusable for target revision")
+    return value
+
+
+def ref_resource_ratio(fit, fields):
+    n, m, N, _, _, _, more_intervals = fields
+    full = ref_usable("full-game area", ref_area_full(fit, N), positive=True)
+    ratio = None
+    for start, restart in ((n, m),) + more_intervals:
+        if restart == start:
+            continue
+        factor = ref_area_interrupted(fit, start, restart, N) / full
+        ratio = factor if ratio is None else ratio * factor
+    return 1.0 if ratio is None else ref_usable("area ratio", ratio)
+
+
+def ref_revision_json(fit, fields):
+    ratio = ref_resource_ratio(fit, fields)
+    target_score, current_score = fields[3], fields[4]
+    runs_remaining = ref_usable("runs_remaining", ratio * (target_score - current_score))
+    revised_total = math.floor(current_score + runs_remaining)
+    return {"ratio": ratio, "runs_remaining": runs_remaining,
+            "revised_total": revised_total, "to_win": revised_total + 1}
+
+
+def outcome(call, *args, **kwargs):
+    """The repr of what ``call`` returns, or its error's type and message."""
+    try:
+        return repr(call(*args, **kwargs))
+    except Exception as e:  # every error, so that a TypeError must match as well
+        return f"{type(e).__name__}: {e}"
+
+
+def fields_of(scenario):
+    return tuple(getattr(scenario, name) for name in InterruptionScenario.__slots__)
+
+
+def seeded_fits(rng):
+    """Float and Fraction fits, sane and degenerate, for one grid."""
+    fits = [WORKED_FIT, PolyFit(-4.06e-5, 5.13e-3, 0.826, 3), PolyFit(0.0, 0.0, 0.0, 3),
+            PolyFit(-1.0, 0.0, 0.0, 3), PolyFit(0.0, 1e305, 0.0, 3),
+            PolyFit(0.0, math.inf, 0.0, 3), PolyFit(0.0, math.nan, 0.0, 3),
+            PolyFit(1e303, -2.25e305, 1e300, 3), PolyFit(1e290, -2.25e292, 1.0, 3)]
+    for _ in range(12):
+        a = 0.0 if rng.random() < 0.3 else rng.uniform(-1e-4, 1e-5)
+        fits.append(PolyFit(a, rng.uniform(-2e-3, 1e-2), rng.uniform(-0.2, 1.5),
+                            3 if a else 2))
+        fits.append(PolyFit(Fraction(rng.randint(-400, 40), 10**7),
+                            Fraction(rng.randint(-20, 100), 10**4),
+                            Fraction(rng.randint(-2, 15), 10), 3))
+    return fits
+
+
+def seeded_scenarios(rng, N):
+    """Valid scenario arguments: 0 to 2 more intervals, some of them empty,
+    and the whole innings lost (n = 0, m = N)."""
+    out = [(0, N, N, 250, 10, 0, ()), (0, 0, N, 250, 10, 0, ()), (N, N, N, 2**53, 0, 10, ()),
+           (0, N // 2, N, 2**53, 0, 0, ())]
+    for _ in range(60):
+        marks = sorted(rng.randint(0, N) for _ in range(2 * (1 + rng.randint(0, 2))))
+        if rng.random() < 0.3:  # an empty interval somewhere
+            i = 2 * rng.randrange(len(marks) // 2)
+            marks[i + 1] = marks[i]
+        target = rng.randint(1, 3 * N)
+        pairs = tuple(tuple(marks[i:i + 2]) for i in range(2, len(marks), 2))
+        out.append((marks[0], marks[1], N, target, rng.randint(0, target - 1),
+                    rng.randint(0, 10), pairs))
+    return out
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_every_revision_is_the_layered_one_bit_for_bit(seed):
+    rng = random.Random(seed)
+    fits = seeded_fits(rng)
+    compared = 0
+    for N in (120, 300):
+        for args in seeded_scenarios(rng, N):
+            scenario = InterruptionScenario(*args)
+            assert repr(fields_of(scenario)) == repr(ref_scenario(*args))
+            for fit in fits:
+                want = outcome(ref_revision_json, fit, ref_scenario(*args))
+                got = outcome(lambda: revision_to_json(revise_target(fit, scenario)))
+                assert got == want, (fit, args)
+                assert outcome(resource_ratio, fit, scenario) == outcome(
+                    ref_resource_ratio, fit, ref_scenario(*args)
+                )
+                compared += 1
+            for n, m in ((args[0], args[1]), (0, N), (N, N)):
+                fit = fits[compared % len(fits)]
+                assert outcome(area_interrupted, fit, n, m, N) == outcome(
+                    ref_area_interrupted, fit, n, m, N
+                )
+            assert outcome(area_full, fit, N) == outcome(ref_area_full, fit, N)
+    assert compared == 2 * 64 * len(fits)
+
+
+def test_area_argument_checks_are_the_layered_ones():
+    for args in ((100, 50, 300), (0, 350, 300), (-1, 5, 300), (0, 0, 0), (5, 5, -1)):
+        assert outcome(area_interrupted, WORKED_FIT, *args) == outcome(
+            ref_area_interrupted, WORKED_FIT, *args
+        )
+    for N in (0, -5, 1, 300):
+        assert outcome(area_full, WORKED_FIT, N) == outcome(ref_area_full, WORKED_FIT, N)
+
+
+BAD_VALUES = [None, "7", True, False, 7.5, math.nan, math.inf, -1, 0, 301, 2**53 + 1,
+              1e300, [], {}, [7], 10**400]
+BAD_INTERVALS = [None, 0, "", "ab", [], {}, {"a": 1}, [[1]], [[1, 2, 3]], [["a", 2]],
+                 [[200, 220], [210, 230]], [[250, 240]], [[200, 310]], [5], [[200.0, 220]],
+                 [[200.5, 220]], [[True, 220]], [[200, 220], None], [[200, 220], [230, 240]],
+                 [(260, 270)], "12"]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_every_malformed_document_fails_as_the_layered_path_did(seed):
+    rng = random.Random(1000 + seed)
+    keys = ["n", "m", "N", "target_score", "current_score", "wickets", "more_intervals"]
+    for _ in range(400):
+        doc = {"format": "odi", "n": 120, "m": 180, "N": 300, "target_score": 275,
+               "current_score": 100}
+        if rng.random() < 0.5:
+            doc["wickets"] = rng.randint(0, 10)
+        for _ in range(rng.randint(1, 3)):
+            key = rng.choice(keys)
+            roll = rng.random()
+            if roll < 0.15:
+                doc.pop(key, None)
+            elif key == "more_intervals":
+                doc[key] = rng.choice(BAD_INTERVALS)
+            elif roll < 0.6:
+                doc[key] = rng.choice(BAD_VALUES)
+            else:
+                doc[key] = rng.randint(-2, 320)
+        want = outcome(ref_scenario_from_json, doc)
+        got = outcome(lambda: fields_of(scenario_from_json(doc)))
+        assert got == want, doc
+    for doc in (None, [], "{}", 7):
+        assert outcome(scenario_from_json, doc) == outcome(ref_scenario_from_json, doc)
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_every_malformed_constructor_call_fails_as_the_layered_one_did(seed):
+    rng = random.Random(2000 + seed)
+    values = BAD_VALUES + [3, 150, 2.5, Fraction(7, 2)]
+    for _ in range(400):
+        args = [120, 180, 300, 275, 100, 0, ((200, 230),)]
+        for _ in range(rng.randint(1, 2)):
+            i = rng.randrange(len(args))
+            args[i] = rng.choice(BAD_INTERVALS if i == 6 else values)
+        want = outcome(ref_scenario, *args)
+        got = outcome(lambda: fields_of(InterruptionScenario(*args)))
+        assert got == want, args
+    # a one-shot iterator is read once, and its pairs kept as tuples
+    args = (120, 180, 300, 275, 100, 0)
+    assert outcome(lambda: fields_of(InterruptionScenario(*args, iter([[200, 230]])))) == (
+        outcome(ref_scenario, *args, iter([[200, 230]]))
+    )
