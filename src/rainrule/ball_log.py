@@ -77,7 +77,8 @@ class ExtrasKind(Enum):
 
 
 _KINDS = tuple(ExtrasKind)
-_WIDE_CODE, _NO_BALL_CODE = ExtrasKind.WIDE.code, ExtrasKind.NO_BALL.code
+# whether a delivery of each kind, by code, is legal: wides and no-balls are not
+LEGAL_BY_CODE = np.array([kind not in (ExtrasKind.WIDE, ExtrasKind.NO_BALL) for kind in _KINDS])
 
 # far above any real delivery: it keeps every innings sum exact in int64 and
 # float64, and a totals histogram in proportion to the input
@@ -89,7 +90,7 @@ _I64 = np.iinfo(np.int64)
 _LEAST = np.array([[0], [1], [0], [0], [0]])
 _MOST = np.array([[_I64.max - 1], [_I64.max - 1], [_MAX_DELIVERY_RUNS], [_MAX_DELIVERY_RUNS],
                   [len(_KINDS) - 1]])
-_LEAST_EXTRAS = np.array([int(kind in (ExtrasKind.WIDE, ExtrasKind.NO_BALL)) for kind in _KINDS])
+_LEAST_EXTRAS = (~LEGAL_BY_CODE).astype(np.int64)
 _COLUMNS = ("over", "ball_in_over", "batter_runs", "extras_runs", "kind", "wicket")
 _COLUMN_DTYPES = {name: bool if name == "wicket" else np.int64 for name in _COLUMNS}
 
@@ -144,8 +145,8 @@ class InningsRecord:
 
     ``ball_in_over`` is the delivery's sequence number within its over,
     counting illegal deliveries, so ordering by (over, ball_in_over) is the
-    bowling order.  ``kind`` holds :attr:`ExtrasKind.code` values; wides and
-    no-balls are the illegal kinds, so ``legal`` is derived from it.
+    bowling order.  ``kind`` holds :attr:`ExtrasKind.code` values, and ``legal``
+    is derived from it by :data:`LEGAL_BY_CODE`.
     ``wicket`` is boolean, the other columns int64.
     """
 
@@ -199,7 +200,8 @@ class InningsRecord:
 
     @property
     def legal(self) -> np.ndarray:
-        return (self.kind != _WIDE_CODE) & (self.kind != _NO_BALL_CODE)
+        # an unknown code reads as a kind at the nearer end, until the kind rule names its row
+        return LEGAL_BY_CODE.take(self.kind, mode="clip")
 
     @cached_property
     def deliveries(self) -> tuple[Delivery, ...]:
@@ -246,9 +248,6 @@ class InningsTrajectory:
     @property
     def points(self) -> list[tuple[int, int, int]]:
         return list(zip(self.ball.tolist(), self.runs.tolist(), self.wickets.tolist()))
-
-    def __len__(self) -> int:
-        return len(self.ball)
 
 
 @dataclass(frozen=True)

@@ -56,31 +56,24 @@ def read_match(text: str, match_id: str | None) -> tuple[MatchRecord, list[str]]
             if i >= 2:
                 dropped += sum(len(ov.get("deliveries", ())) for ov in entry.get("overs", ()))
                 continue
-            columns: tuple[list, ...] = ([], [], [], [], [], [])
-            add_over, add_ball, add_batter, add_extras, add_kind, add_wicket = (
-                column.append for column in columns
-            )
+            values = []  # six per delivery: over, ball_in_over, batter, extras, kind code, wicket
             starts = []  # the row of each over's first delivery
             for o, over_obj in enumerate(entry.get("overs", ())):
                 b = None
-                starts.append(len(columns[0]))
+                starts.append(len(values) // 6)
                 over = over_obj.get("over", 0)
                 if type(over) is not int:  # JSON integers only: no bool, float or string
                     raise TypeError(f"over number {over!r} is not an integer")
                 for b, d in enumerate(over_obj.get("deliveries", ())):
-                    runs = d.get("runs", {})
-                    add_over(over)
-                    add_ball(b + 1)
-                    add_batter(runs.get("batter", 0))
-                    add_extras(runs.get("extras", 0))
-                    extras = d.get("extras")
-                    add_kind(_extras_code(extras) if extras else _NONE_CODE)
-                    wickets = d.get("wickets")
-                    add_wicket(
+                    runs, extras, wickets = d.get("runs", {}), d.get("extras"), d.get("wickets")
+                    values += (
+                        over, b + 1, runs.get("batter", 0), runs.get("extras", 0),
+                        _extras_code(extras) if extras else _NONE_CODE,
                         any(w.get("kind") not in _NOT_DISMISSALS for w in wickets)
-                        if wickets else False
+                        if wickets else False,
                     )
             o = None
+            columns = [values[k::6] for k in range(6)]  # one per field, a row per delivery
             for column in columns[2:4]:  # runs too are JSON integers: no bool, float or string
                 if not {int}.issuperset(map(type, column)):
                     row = next(r for r, v in enumerate(column) if type(v) is not int)

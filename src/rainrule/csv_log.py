@@ -12,7 +12,9 @@ from pathlib import Path
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .ball_log import ExtrasKind, InningsRecord, MatchFormat, MatchRecord, RowError, decode
+from .ball_log import (
+    LEGAL_BY_CODE, ExtrasKind, InningsRecord, MatchFormat, MatchRecord, RowError, decode,
+)
 from .errors import DataError, ParseError, UnsupportedFormatError
 
 __all__ = ["CSV_HEADER", "read_log", "export_csv"]
@@ -27,7 +29,6 @@ _CSV_EPOCH = date(1900, 1, 1)
 _CSV_BOOL = {True: "true", False: "false"}
 _FORMATS = tuple(MatchFormat)
 _KIND_NAMES = tuple(kind.value for kind in ExtrasKind)
-_ILLEGAL = np.array([kind in (ExtrasKind.WIDE, ExtrasKind.NO_BALL) for kind in ExtrasKind])
 
 
 def _parse_bool(token: str) -> bool:
@@ -96,7 +97,7 @@ def read_log(data: bytes | str) -> list[MatchRecord]:
             bad += refused[:1]
         index, fmt, kind, wicket = columns[2], columns[1], columns[8], columns[9]
         # the one field no column holds: legality follows from the kind
-        bad += np.flatnonzero((columns[5] == 1) == _ILLEGAL[kind])[:1].tolist()
+        bad += np.flatnonzero((columns[5] == 1) != LEGAL_BY_CODE[kind])[:1].tolist()
         if bad:  # the rows end at the first bad one
             n = min(bad)
             row = cells(n)

@@ -148,7 +148,7 @@ def fit_dl_curve(u, means, w: int) -> DLCurve:
     p0 = np.array([1.2 * y.max(), 2.0 / u.max()])
     outcome = damped_gauss_newton(residuals, jacobian, p0, accept=positive)
     z0, decay = outcome.params
-    if not (z0 > _Z0_FLOOR and decay > _DECAY_FLOOR):
+    if not positive(outcome.params):
         raise DegenerateFitError(
             f"exponential fit collapsed (z0={z0!r}, decay={decay!r})"
         )

@@ -167,11 +167,10 @@ def fit_poly(curve: WicketCurve, degree: int = DEFAULT_DEGREE) -> PolyFit:
     """
     x = curve.balls.astype(float)
     y = curve.means
-    distinct = distinct_count(x)
-    if distinct < degree + 1:
+    if len(curve) < degree + 1:  # a WicketCurve's balls are distinct
         raise SingularFitError(
             f"need at least {degree + 1} distinct ball values for a degree-{degree} fit, "
-            f"have {distinct}"
+            f"have {len(curve)}"
         )
 
     weights = curve.support.astype(float)

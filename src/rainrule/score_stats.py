@@ -172,7 +172,7 @@ def fit_normal(hist: Histogram) -> NormalFit:
     xi, sigma, amplitude = (float(v) for v in outcome.params)
     if not outcome.converged:
         raise DegenerateFitError(f"no convergence in {outcome.iterations} iterations")
-    if sigma <= _SIGMA_FLOOR or amplitude <= 0.0:
+    if not acceptable(outcome.params):
         raise DegenerateFitError(f"degenerate fit: sigma={sigma:g} amplitude={amplitude:g}")
     return NormalFit(xi=xi, sigma=sigma, amplitude=amplitude, rss=outcome.rss)
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 import sys
 from datetime import date
 
@@ -387,6 +388,77 @@ def test_one_bad_file_is_one_diagnostic(tmp_path, name, text, position):
     assert position in corpus.diagnostics[0].message
 
 
+def one_innings_both_ways(rows):
+    """The innings of these ``legal``/``illegal`` rows as a Cricsheet JSON match and
+    as a CSV ball log: a run of rows under one over number is one JSON over, so each
+    row's ball_in_over must count from 1 within its run."""
+    overs = []
+    for over, ball, batter, extras, code, wicket in rows:
+        if not overs or overs[-1][0] != over:
+            overs.append((over, []))
+        assert ball == len(overs[-1][1]) + 1
+        overs[-1][1].append(cricsheet._delivery_doc(batter, extras, code, wicket))
+    kinds = list(ExtrasKind)  # by code
+    lines = [
+        f"m1,t20i,1,{o},{b},{str(kinds[k] not in (ExtrasKind.WIDE, ExtrasKind.NO_BALL)).lower()},"
+        f"{r},{x},{kinds[k].value},{str(w).lower()}\n"
+        for o, b, r, x, k, w in rows
+    ]
+    return json_match(json_innings(*overs)), CSV_HEADER + "\n" + "".join(lines)
+
+
+# each rule both formats can break, and where each reader names the breach: the
+# JSON path of the delivery or innings, and the CSV line or innings
+SHARED_RULES = [
+    pytest.param(
+        [legal(0, 1, 1), legal(-1, 1, 1)], "over must be >= 0 and ball_in_over >= 1",
+        "$.innings[0].overs[1].deliveries[0]", "line 3", id="over_below_0",
+    ),
+    pytest.param(
+        [legal(0, 1, 1), legal(2**63, 1, 1)], "over or ball_in_over past int64",
+        "$.innings[0].overs[1].deliveries[0]", "line 3", id="over_past_int64",
+    ),
+    pytest.param(
+        [legal(0, 1, 1), legal(0, 2, -1)], "negative runs",
+        "$.innings[0].overs[0].deliveries[1]", "line 3", id="negative_runs",
+    ),
+    pytest.param(
+        [legal(0, 1, 1), legal(0, 2, 101)], "more than 100 runs from one delivery",
+        "$.innings[0].overs[0].deliveries[1]", "line 3", id="over_100_runs",
+    ),
+    pytest.param(
+        [legal(0, 1, 1), legal(0, 2, 1), illegal(0, 3, extras=0)],
+        "wide/no-ball must credit at least one extra run",
+        "$.innings[0].overs[0].deliveries[2]", "line 4", id="wide_without_extra_run",
+    ),
+    pytest.param(
+        [legal(1, 1, 1), legal(0, 1, 1)], "deliveries not ordered by (over, ball_in_over)",
+        "$.innings[0]", None, id="out_of_order",
+    ),
+    pytest.param(
+        [legal(i // 6, i % 6 + 1, wicket=True) for i in range(11)],
+        "more than 10 wickets in one innings", "$.innings[0]", None, id="eleven_wickets",
+    ),
+]
+
+
+@pytest.mark.parametrize("rows, rule, json_at, csv_at", SHARED_RULES)
+def test_both_readers_name_the_same_rule(tmp_path, rows, rule, json_at, csv_at):
+    as_json, as_csv = one_innings_both_ways(rows)
+    (tmp_path / "broken.json").write_text(as_json)
+    (tmp_path / "broken.csv").write_text(as_csv)
+    corpus = load_corpus(tmp_path)
+    assert len(corpus) == 0
+    messages = {d.source: d.message for d in corpus.diagnostics}
+    assert len(corpus.diagnostics) == len(messages) == 2
+    assert messages["broken.json"] == f"bad match document: {rule} (at {json_at})"
+    # a delivery rule names its line; an innings rule, which no one line breaks, its innings
+    assert messages["broken.csv"] == (
+        f"bad delivery row: {rule} (at {csv_at})" if csv_at
+        else f"bad innings 1 of match 'm1': {rule}"
+    )
+
+
 def retired(*kinds):
     return {"runs": {"batter": 0, "extras": 0}, "wickets": [{"kind": k} for k in kinds]}
 
@@ -465,6 +537,18 @@ class TestRecordInvariants:
             parse_match(CSV_HEADER + "\nm1,odi,1,0,1,true,0,1,wide,false\n")
         with pytest.raises(ParseError, match="legal"):
             parse_match(CSV_HEADER + "\nm1,odi,1,0,1,false,1,0,none,false\n")
+
+    @pytest.mark.parametrize("flag", [True, False])
+    @pytest.mark.parametrize("kind", list(ExtrasKind))
+    def test_legal_flag_is_read_exactly_when_it_is_the_kinds(self, kind, flag):
+        log = CSV_HEADER + f"\nm1,odi,1,0,1,{str(flag).lower()},0,1,{kind.value},false\n"
+        if flag == innings_of((0, 1, 0, 1, kind.code, False)).legal[0]:
+            [inn] = parse_match(log).innings
+            assert (inn.kind.tolist(), inn.legal.tolist()) == ([kind.code], [flag])
+        else:
+            message = "bad delivery row: legal flag inconsistent with extras kind (at line 2)"
+            with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+                parse_match(log)
 
     def test_deliveries_must_be_ordered(self):
         with pytest.raises(ValueError, match="order"):

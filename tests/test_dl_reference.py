@@ -7,6 +7,7 @@ import pytest
 
 from rainrule import (
     DLCurve,
+    DegenerateFitError,
     IncompleteFamilyError,
     InsufficientDataError,
     MatchFormat,
@@ -39,6 +40,34 @@ class TestFitDlCurve:
         for u in ([5.0], [5.0, 5.0]):
             with pytest.raises(InsufficientDataError, match=f"^{message}$"):
                 fit_dl_curve(u, [100.0] * len(u), w=0)
+
+    def test_a_start_the_solver_cannot_leave_is_refused(self):
+        # overs remaining below 0 start decay at -2, outside the region the solver accepts
+        with pytest.raises(DegenerateFitError, match=r"^exponential fit collapsed \(z0="):
+            fit_dl_curve([-2.0, -1.0], [1.0, 2.0], w=0)
+
+    @pytest.mark.parametrize(
+        "z0, decay, refused",
+        [(250.0, 0.04, False), (2e-9, 2e-12, False), (1e-9, 0.04, True), (250.0, 1e-12, True),
+         (-1.0, 0.04, True), (float("nan"), 0.04, True), (250.0, float("nan"), True)],
+    )
+    def test_the_solvers_result_is_checked_by_the_rule_it_was_fitted_under(
+        self, monkeypatch, z0, decay, refused
+    ):
+        accepts = []
+
+        def solver(residuals, jacobian, p0, *, accept):
+            accepts.append(accept)
+            return leastsq.FitOutcome(np.array([z0, decay]), 1.0, 1, True)
+
+        monkeypatch.setattr(dl_reference, "damped_gauss_newton", solver)
+        u = np.arange(1.0, 6.0)
+        if refused:
+            with pytest.raises(DegenerateFitError, match="exponential fit collapsed"):
+                fit_dl_curve(u, 10.0 * u, w=0)
+        else:
+            assert fit_dl_curve(u, 10.0 * u, w=0) == DLCurve(w=0, z0=z0, decay=decay, rss=1.0)
+        assert bool(accepts[0](np.array([z0, decay]))) is not refused
 
     def test_value_properties(self):
         curve = DLCurve(w=0, z0=250.0, decay=0.04)

@@ -193,6 +193,30 @@ class TestFitNormal:
         assert err[2:] == ["error: no (format, innings) cell could be fitted"]
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "sigma, amplitude, refused",
+        [(45.8, 1202.9, False), (2e-9, 1e-300, False), (1e-9, 1202.9, True), (45.8, 0.0, True),
+         (45.8, -1.0, True), (float("nan"), 1202.9, True), (45.8, float("nan"), True)],
+    )
+    def test_the_solvers_result_is_checked_by_the_rule_it_was_fitted_under(
+        self, monkeypatch, sigma, amplitude, refused
+    ):
+        accepts = []
+
+        def solver(residuals, jacobian, p0, *, accept):
+            accepts.append(accept)
+            return leastsq.FitOutcome(np.array([272.5, sigma, amplitude]), 1.0, 1, True)
+
+        monkeypatch.setattr(score_stats, "damped_gauss_newton", solver)
+        hist = planted_histogram(272.5, 45.8, 1202.9, 100.0, 460.0, 10.0)
+        if refused:
+            with pytest.raises(DegenerateFitError, match="^degenerate fit: sigma="):
+                fit_normal(hist)
+        else:
+            fit = fit_normal(hist)
+            assert (fit.xi, fit.sigma, fit.amplitude, fit.rss) == (272.5, sigma, amplitude, 1.0)
+        assert bool(accepts[0](np.array([272.5, sigma, amplitude]))) is not refused
+
     def test_fit_is_deterministic(self, demo):
         values = totals(demo, MatchFormat.T20I, 1)
         hist = build_histogram(values, 10.0)
