@@ -22,7 +22,7 @@ from __future__ import annotations
 import re
 import warnings
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from datetime import date
 from enum import Enum
 from functools import cached_property
@@ -139,6 +139,14 @@ def freeze_columns(record, **dtypes) -> None:
         raise ValueError("columns differ in length")
 
 
+def value_eq(self, other) -> bool:
+    """``==`` of the records that hold arrays: the same class, and every field equal
+    by ``np.array_equal``.  Each sets it as ``__eq__``, so none of them is hashable."""
+    if type(other) is not type(self):
+        return NotImplemented
+    return all(np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
+
+
 @dataclass(frozen=True, eq=False)
 class InningsRecord:
     """One innings as columns, one row per delivery, legal or not.
@@ -192,11 +200,7 @@ class InningsRecord:
         row = int(np.logical_or.reduce([mask for mask, _ in rules]).argmax())
         return RowError(row, next(message for mask, message in rules if mask[row]))
 
-    def __eq__(self, other):
-        if not isinstance(other, InningsRecord):
-            return NotImplemented
-        fields = ("innings_index", "batting_team") + _COLUMNS
-        return all(np.array_equal(getattr(self, f), getattr(other, f)) for f in fields)
+    __eq__ = value_eq
 
     @property
     def legal(self) -> np.ndarray:
@@ -227,7 +231,7 @@ class MatchRecord:
             raise ValueError("a match needs 1 or 2 innings with distinct indices")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InningsTrajectory:
     """Cumulative (ball, runs, wickets) sampled at each legal ball.
 
@@ -244,6 +248,8 @@ class InningsTrajectory:
 
     def __post_init__(self):
         freeze_columns(self, ball=None, runs=None, wickets=None)
+
+    __eq__ = value_eq
 
     @property
     def points(self) -> list[tuple[int, int, int]]:

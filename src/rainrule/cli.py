@@ -327,83 +327,64 @@ def _positive_int(token: str) -> int:
     return value
 
 
-def _add_corpus_flags(sp: argparse.ArgumentParser, out_help: str = "output directory") -> None:
-    sp.add_argument(
-        "--data-dir",
-        type=Path,
-        default=None,
-        help="directory of match files (default: $RAINRULE_DATA_DIR)",
-    )
-    sp.add_argument(
-        "--fixture",
-        action="store_true",
-        help="use the bundled deterministic synthetic corpus",
-    )
-    sp.add_argument(
-        "--format",
-        type=_format_arg,
-        default=None,
-        metavar="{odi,t20i,ipl}",
-        help="restrict to one format",
-    )
-    sp.add_argument(
-        "--until",
-        type=_date_arg,
-        default=None,
-        metavar="YYYY-MM-DD",
-        help="keep only matches dated on or before this day",
-    )
-    sp.add_argument("--out", type=Path, default=None, help=out_help)
+# each corpus command's flags, --out last
+_CORPUS_FLAGS = {
+    "--data-dir": {"type": Path, "help": "directory of match files (default: $RAINRULE_DATA_DIR)"},
+    "--fixture": {"action": "store_true", "help": "use the bundled deterministic synthetic corpus"},
+    "--format": {"type": _format_arg, "metavar": "{odi,t20i,ipl}",
+                 "help": "restrict to one format"},
+    "--until": {"type": _date_arg, "metavar": "YYYY-MM-DD",
+                "help": "keep only matches dated on or before this day"},
+    "--out": {"type": Path, "help": "output directory"},
+}
+_MIN_SUPPORT = {"--min-support": {"type": _positive_int, "default": DEFAULT_MIN_SUPPORT}}
+
+# each command: its handler, its help and its flags, in the order help lists them
+_COMMANDS = {
+    "ingest": (cmd_ingest, "load a corpus and report counts", {
+        **_CORPUS_FLAGS,
+        "--out": {**_CORPUS_FLAGS["--out"], "help": "accepted, but ingest writes nothing there"},
+        "--export-csv": {"type": Path, "metavar": "FILE",
+                         "help": "write the normalized ball log CSV"},
+    }),
+    "stats": (cmd_stats, "totals histograms and normal fits", {
+        **_CORPUS_FLAGS, "--bin-width": {"type": _positive_float, "default": 10.0},
+    }),
+    "curves": (cmd_curves, "wicket curves and polynomial fits", {
+        **_CORPUS_FLAGS,
+        "--innings": {"type": int, "choices": (1, 2), "default": 1},
+        **_MIN_SUPPORT,
+        "--degree": {"type": int, "choices": (2, 3), "default": DEFAULT_DEGREE},
+    }),
+    "target": (cmd_target, "revise an interrupted chase", {
+        "--scenario": {"type": Path, "required": True, "help": "scenario JSON file"},
+        "--fits": {"type": Path, "required": True, "help": "polynomial fit JSON file"},
+        "--out": _CORPUS_FLAGS["--out"],
+    }),
+    "compare": (cmd_compare, "area-ratio revision next to resource-model percentages", {
+        **_CORPUS_FLAGS,
+        "--scenario": {"type": Path, "required": True},
+        "--fits": {"type": Path, "required": True},
+        "--dl-table": {"type": Path, "help": "resource table CSV (otherwise fitted from the "
+                                             "corpus when available)"},
+        **_MIN_SUPPORT,
+    }),
+}
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None) -> argparse.ArgumentParser:
+    """Every command's subparser, with flags for ``command`` alone: of the others
+    argparse shows only the name and help, which each one has."""
     parser = argparse.ArgumentParser(
         prog="rainrule",
         description="Rain-rule analytics for limited-overs cricket ball logs.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_ingest = sub.add_parser("ingest", help="load a corpus and report counts")
-    _add_corpus_flags(p_ingest, out_help="accepted, but ingest writes nothing there")
-    p_ingest.add_argument(
-        "--export-csv", type=Path, default=None, metavar="FILE",
-        help="write the normalized ball log CSV",
-    )
-    p_ingest.set_defaults(func=cmd_ingest)
-
-    p_stats = sub.add_parser("stats", help="totals histograms and normal fits")
-    _add_corpus_flags(p_stats)
-    p_stats.add_argument("--bin-width", type=_positive_float, default=10.0)
-    p_stats.set_defaults(func=cmd_stats)
-
-    p_curves = sub.add_parser("curves", help="wicket curves and polynomial fits")
-    _add_corpus_flags(p_curves)
-    p_curves.add_argument("--innings", type=int, choices=(1, 2), default=1)
-    p_curves.add_argument("--min-support", type=_positive_int, default=DEFAULT_MIN_SUPPORT)
-    p_curves.add_argument("--degree", type=int, choices=(2, 3), default=DEFAULT_DEGREE)
-    p_curves.set_defaults(func=cmd_curves)
-
-    p_target = sub.add_parser("target", help="revise an interrupted chase")
-    p_target.add_argument("--scenario", type=Path, required=True, help="scenario JSON file")
-    p_target.add_argument("--fits", type=Path, required=True, help="polynomial fit JSON file")
-    p_target.add_argument("--out", type=Path, default=None, help="output directory")
-    p_target.set_defaults(func=cmd_target)
-
-    p_compare = sub.add_parser(
-        "compare", help="area-ratio revision next to resource-model percentages"
-    )
-    _add_corpus_flags(p_compare)
-    p_compare.add_argument("--scenario", type=Path, required=True)
-    p_compare.add_argument("--fits", type=Path, required=True)
-    p_compare.add_argument(
-        "--dl-table", type=Path, default=None,
-        help="resource table CSV (otherwise fitted from the corpus when available)",
-    )
-    p_compare.add_argument(
-        "--min-support", type=_positive_int, default=DEFAULT_MIN_SUPPORT
-    )
-    p_compare.set_defaults(func=cmd_compare)
-
+    for name, (_, summary, flags) in _COMMANDS.items():
+        subparser = sub.add_parser(name, help=summary)
+        if name == command:
+            for flag, options in flags.items():
+                subparser.add_argument(flag, **options)
     return parser
 
 
@@ -412,9 +393,12 @@ _EXIT_CODES = {DataError: 2, OSError: 2, ScenarioError: 3, FitError: 4}
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # argparse takes the first token that names a command as the command, since
+    # no top-level flag takes a value
+    args = build_parser(next((a for a in argv if a in _COMMANDS), None)).parse_args(argv)
     try:
-        args.func(args)
+        _COMMANDS[args.command][0](args)
     except tuple(_EXIT_CODES) as e:
         print(f"error: {e}", file=sys.stderr)
         return next(code for family, code in _EXIT_CODES.items() if isinstance(e, family))

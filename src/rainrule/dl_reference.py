@@ -17,10 +17,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .ball_log import MatchFormat, MatchRecord, freeze_columns, qualifying_trajectories
+from .ball_log import MatchFormat, MatchRecord, freeze_columns, qualifying_trajectories, value_eq
 from .errors import DegenerateFitError, IncompleteFamilyError, InsufficientDataError, ParseError
 from .leastsq import damped_gauss_newton
-from .run_curves import DEFAULT_MIN_SUPPORT, cell_means, distinct_count
+from .run_curves import DEFAULT_MIN_SUPPORT, cell_means
 
 __all__ = [
     "DLCurve",
@@ -120,12 +120,19 @@ def remaining_run_means(
 
 
 def fit_dl_curve(u, means, w: int) -> DLCurve:
-    """Least-squares fit of Z(u) = z0 * (1 - exp(-decay * u)) to mean points."""
+    """Least-squares fit of Z(u) = z0 * (1 - exp(-decay * u)) to mean points.
+
+    ``u`` and ``means`` are 1-D and of one length, each ``u`` finite and above 0
+    and each mean finite, or ``ValueError`` names the rule they break."""
     u = np.asarray(u, dtype=float)
     y = np.asarray(means, dtype=float)
-    if u.size != y.size:
-        raise ValueError("u and means must have the same length")
-    distinct = distinct_count(u)
+    if u.ndim != 1 or u.shape != y.shape:
+        raise ValueError("u and means must be 1-D arrays of the same length")
+    if not np.all((u > 0) & (u < np.inf)):
+        raise ValueError("every u must be finite and above 0")
+    if not np.all(np.isfinite(y)):
+        raise ValueError("every mean must be finite")
+    distinct = len(set(u.tolist()))
     if distinct < 2:
         raise InsufficientDataError(
             f"need at least 2 distinct overs-remaining points, have {distinct}"
@@ -147,12 +154,12 @@ def fit_dl_curve(u, means, w: int) -> DLCurve:
 
     p0 = np.array([1.2 * y.max(), 2.0 / u.max()])
     outcome = damped_gauss_newton(residuals, jacobian, p0, accept=positive)
-    z0, decay = outcome.params
+    z0, decay = outcome.params.tolist()
     if not positive(outcome.params):
         raise DegenerateFitError(
             f"exponential fit collapsed (z0={z0!r}, decay={decay!r})"
         )
-    return DLCurve(w=w, z0=float(z0), decay=float(decay), rss=float(outcome.rss))
+    return DLCurve(w=w, z0=z0, decay=decay, rss=float(outcome.rss))
 
 
 def _pool_nonincreasing(values: list[float]) -> list[float]:
@@ -204,7 +211,7 @@ def fit_dl_family(
     return DLFamily(format=format, curves=tuple(fitted), adjusted=adjusted)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ResourceTable:
     """Resource percentages indexed by overs remaining and wickets lost."""
 
@@ -214,6 +221,8 @@ class ResourceTable:
         freeze_columns(self, grid=float)
         if self.grid.ndim != 2 or self.grid.shape[0] < 1 or self.grid.shape[1] != 11:
             raise ValueError(f"grid shape {self.grid.shape} is not (max_overs + 1, 11)")
+
+    __eq__ = value_eq
 
     @property
     def max_overs(self) -> int:

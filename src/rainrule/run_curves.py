@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ball_log import MatchFormat, MatchRecord, freeze_columns, qualifying_trajectories
+from .ball_log import MatchFormat, MatchRecord, freeze_columns, qualifying_trajectories, value_eq
 from .errors import EmptyCurveError, SingularFitError
 from .fits import (
     DEFAULT_DEGREE,
@@ -46,7 +46,7 @@ __all__ = [
     "fit_from_json",
 ]
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WicketCurve:
     """Mean cumulative score per ball, conditioned on exactly ``wickets`` down."""
 
@@ -63,6 +63,8 @@ class WicketCurve:
         freeze_columns(self, balls=np.int64, means=float, support=np.int64)
         if np.any(np.diff(self.balls) <= 0):
             raise ValueError("duplicate or unordered ball values in curve")
+
+    __eq__ = value_eq
 
     def __len__(self) -> int:
         return len(self.balls)
@@ -147,14 +149,6 @@ def wicket_curve(
     if not 0 <= w <= 10:
         raise ValueError("w must be in [0, 10]")
     return state_curve(wicket_curves(corpus, format, innings_index, min_support), w, min_support)
-
-
-def distinct_count(values: np.ndarray) -> int:
-    """How many distinct values a float array holds, every NaN counting as one
-    value, as ``np.unique`` counts them; on numpy 2 ``np.unique`` loads ``numpy.ma``."""
-    numbers = np.sort(values[~np.isnan(values)])
-    has_nan = numbers.size < values.size
-    return int(numbers.size > 0) + int(np.count_nonzero(numbers[1:] != numbers[:-1])) + int(has_nan)
 
 
 def fit_poly(curve: WicketCurve, degree: int = DEFAULT_DEGREE) -> PolyFit:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ball_log import MatchFormat, MatchRecord, freeze_columns, innings_trajectories
+from .ball_log import MatchFormat, MatchRecord, freeze_columns, innings_trajectories, value_eq
 from .errors import DataError, DegenerateFitError, EmptySelectionError, InsufficientDataError
 from .leastsq import damped_gauss_newton
 
@@ -37,7 +37,7 @@ _SIGMA_FLOOR = 1e-9
 _MAX_BINS = 100_000  # far more than any totals histogram needs
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Histogram:
     """Uniform-width histogram with left-closed right-open bins."""
 
@@ -47,6 +47,8 @@ class Histogram:
 
     def __post_init__(self):
         freeze_columns(self, bin_lower_edges=None, counts=None)
+
+    __eq__ = value_eq
 
     @property
     def centers(self) -> np.ndarray:

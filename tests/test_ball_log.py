@@ -14,12 +14,16 @@ from rainrule import (
     CSV_HEADER,
     DataError,
     ExtrasKind,
+    Histogram,
     InningsRecord,
+    InningsTrajectory,
     MatchFormat,
     MatchRecord,
     ParseError,
     ParseWarning,
+    ResourceTable,
     UnsupportedFormatError,
+    WicketCurve,
     export_csv,
     innings_trajectories,
     load_corpus,
@@ -606,6 +610,33 @@ class TestRecordInvariants:
             InningsRecord(1, "X", *columns)
 
 
+# every record that holds arrays, built with one of its arrays holding ``value``
+ARRAY_RECORDS = {
+    "InningsRecord": lambda value: innings_of(legal(0, 1, value), illegal(0, 2)),
+    "InningsTrajectory": lambda value: InningsTrajectory(
+        np.array([1, 2]), np.array([value, 3]), np.array([0, 1]), total=3, completed_balls=2
+    ),
+    "WicketCurve": lambda value: WicketCurve(
+        0, np.array([1, 2]), np.array([value, 3.0]), np.array([4, 4]), MatchFormat.ODI, 1
+    ),
+    "Histogram": lambda value: Histogram(10.0, np.array([0.0, 10.0]), np.array([value, 2.0])),
+    "ResourceTable": lambda value: ResourceTable(np.full((2, 11), float(value))),
+}
+
+
+@pytest.mark.parametrize("name", ARRAY_RECORDS)
+def test_array_records_compare_by_value_and_are_unhashable(name):
+    build = ARRAY_RECORDS[name]
+    record = build(1)
+    assert record == build(1) and not record != build(1)
+    assert record != build(2) and not record == build(2)
+    others = [build_other(1) for other, build_other in ARRAY_RECORDS.items() if other != name]
+    for other in others + [object(), None, 1]:
+        assert record != other and not record == other
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(record)
+
+
 # ---------------------------------------------------------------------------
 # trajectories
 
@@ -1186,3 +1217,16 @@ def test_match_json_text_is_the_text_json_dumps_writes(demo, name, seed):
     for match in matches:
         want = json.dumps(match_to_json(match), indent=2, sort_keys=True) + "\n"
         assert cricsheet.match_json_text(match) == want
+
+
+def test_match_json_text_writes_an_innings_with_no_deliveries_as_json_dumps_does():
+    match = MatchRecord("empty", MatchFormat.ODI, date(2020, 1, 1), ("A", "B"), "V", [innings_of()])
+    want = json.dumps(match_to_json(match), indent=2, sort_keys=True) + "\n"
+    assert '"overs": []' in want
+    assert cricsheet.match_json_text(match) == want
+
+
+def test_an_unknown_fixture_name_lists_the_bundled_ones():
+    message = r"^no bundled fixture 'nope\.json' \(have: .*tiny_odi\.json"
+    with pytest.raises(FileNotFoundError, match=message):
+        fixture_path("nope.json")

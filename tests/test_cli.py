@@ -2,15 +2,31 @@
 
 from __future__ import annotations
 
+import argparse
 import json
 import os
+from pathlib import Path
 
 import pytest
 
 from rainrule import MatchFormat, fit_dl_family, resource_table, resource_table_csv
 from rainrule.cricsheet import match_to_json
 from rainrule.csv_log import CSV_HEADER
-from rainrule.cli import main
+from rainrule import cli
+from rainrule.cli import (
+    DEFAULT_DEGREE,
+    DEFAULT_MIN_SUPPORT,
+    _date_arg,
+    _format_arg,
+    _positive_float,
+    _positive_int,
+    cmd_compare,
+    cmd_curves,
+    cmd_ingest,
+    cmd_stats,
+    cmd_target,
+    main,
+)
 from rainrule.fixtures import (
     demo_corpus,
     exponential_profile_corpus,
@@ -684,3 +700,197 @@ class TestArgumentValidation:
         with pytest.raises(SystemExit) as exc:
             main(["ingest", "--data-dir", str(data_dir), "--format", "test"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("command", ["curves", "compare"])
+    def test_min_support_below_one_rejected(self, command, capsys):
+        argv = [command, "--fixture", "--min-support", "0"]
+        if command == "compare":
+            argv += ["--scenario", "s.json", "--fits", "f.json"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.endswith("argument --min-support: must be a positive integer\n")
+
+
+# ---------------------------------------------------------------------------
+# the command table against the parser it replaced: the five subparsers built
+# by hand, every flag on every call, kept here verbatim as the oracle
+
+
+def _add_corpus_flags(sp: argparse.ArgumentParser, out_help: str = "output directory") -> None:
+    sp.add_argument(
+        "--data-dir",
+        type=Path,
+        default=None,
+        help="directory of match files (default: $RAINRULE_DATA_DIR)",
+    )
+    sp.add_argument(
+        "--fixture",
+        action="store_true",
+        help="use the bundled deterministic synthetic corpus",
+    )
+    sp.add_argument(
+        "--format",
+        type=_format_arg,
+        default=None,
+        metavar="{odi,t20i,ipl}",
+        help="restrict to one format",
+    )
+    sp.add_argument(
+        "--until",
+        type=_date_arg,
+        default=None,
+        metavar="YYYY-MM-DD",
+        help="keep only matches dated on or before this day",
+    )
+    sp.add_argument("--out", type=Path, default=None, help=out_help)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="rainrule",
+        description="Rain-rule analytics for limited-overs cricket ball logs.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p_ingest = sub.add_parser("ingest", help="load a corpus and report counts")
+    _add_corpus_flags(p_ingest, out_help="accepted, but ingest writes nothing there")
+    p_ingest.add_argument(
+        "--export-csv", type=Path, default=None, metavar="FILE",
+        help="write the normalized ball log CSV",
+    )
+    p_ingest.set_defaults(func=cmd_ingest)
+
+    p_stats = sub.add_parser("stats", help="totals histograms and normal fits")
+    _add_corpus_flags(p_stats)
+    p_stats.add_argument("--bin-width", type=_positive_float, default=10.0)
+    p_stats.set_defaults(func=cmd_stats)
+
+    p_curves = sub.add_parser("curves", help="wicket curves and polynomial fits")
+    _add_corpus_flags(p_curves)
+    p_curves.add_argument("--innings", type=int, choices=(1, 2), default=1)
+    p_curves.add_argument("--min-support", type=_positive_int, default=DEFAULT_MIN_SUPPORT)
+    p_curves.add_argument("--degree", type=int, choices=(2, 3), default=DEFAULT_DEGREE)
+    p_curves.set_defaults(func=cmd_curves)
+
+    p_target = sub.add_parser("target", help="revise an interrupted chase")
+    p_target.add_argument("--scenario", type=Path, required=True, help="scenario JSON file")
+    p_target.add_argument("--fits", type=Path, required=True, help="polynomial fit JSON file")
+    p_target.add_argument("--out", type=Path, default=None, help="output directory")
+    p_target.set_defaults(func=cmd_target)
+
+    p_compare = sub.add_parser(
+        "compare", help="area-ratio revision next to resource-model percentages"
+    )
+    _add_corpus_flags(p_compare)
+    p_compare.add_argument("--scenario", type=Path, required=True)
+    p_compare.add_argument("--fits", type=Path, required=True)
+    p_compare.add_argument(
+        "--dl-table", type=Path, default=None,
+        help="resource table CSV (otherwise fitted from the corpus when available)",
+    )
+    p_compare.add_argument(
+        "--min-support", type=_positive_int, default=DEFAULT_MIN_SUPPORT
+    )
+    p_compare.set_defaults(func=cmd_compare)
+
+    return parser
+
+
+COMMANDS = ("ingest", "stats", "curves", "target", "compare")
+CORPUS_FLAGS = ["--data-dir", "d", "--fixture", "--format", "T20I", "--until", "2020-01-31"]
+CORPUS_EQUALS = ["--data-dir=d", "--format=ipl", "--until=2019-12-31", "--out=o"]
+DECISION_FILES = ["--scenario", "s.json", "--fits", "f.json"]
+
+# argvs each parser takes: every flag set, the defaults, and the --flag=value forms
+VALID_ARGVS = [
+    ["ingest"],
+    ["ingest", *CORPUS_FLAGS, "--out", "o", "--export-csv", "log.csv"],
+    ["ingest", *CORPUS_EQUALS, "--export-csv=log.csv", "--fix"],
+    ["stats"],
+    ["stats", *CORPUS_FLAGS, "--out", "o", "--bin-width", "2.5"],
+    ["stats", *CORPUS_EQUALS, "--bin-width=7", "--fixture"],
+    ["curves"],
+    ["curves", *CORPUS_FLAGS, "--out", "o", "--innings", "2", "--min-support", "3",
+     "--degree", "2"],
+    ["curves", *CORPUS_EQUALS, "--innings=2", "--min-sup=4", "--degree=3"],
+    ["target", *DECISION_FILES],
+    ["target", *DECISION_FILES, "--out", "o"],
+    ["target", "--scenario=s.json", "--fits=f.json", "--out=o"],
+    ["compare", *DECISION_FILES],
+    ["compare", *CORPUS_FLAGS, "--out", "o", *DECISION_FILES, "--dl-table", "t.csv",
+     "--min-support", "2"],
+    ["compare", *CORPUS_EQUALS, "--scenario=s.json", "--fits=f.json", "--dl-table=t.csv",
+     "--min-support=5"],
+]
+
+# argvs each parser refuses, each with a message on stderr and exit code 2
+INVALID_ARGVS = {
+    "no_command": [],
+    "abbreviated_command": ["targ", *DECISION_FILES],
+    "unknown_command": ["fit", "--fixture"],
+    "unknown_flag": ["stats", "--fixture", "--bogus"],
+    "flag_of_another_command": ["stats", "--degree", "2"],
+    "stray_positional": ["curves", "extra"],
+    "flag_before_the_command": ["--fixture", "stats", "--bin-width", "5"],
+    "flag_before_a_command_with_required_flags": ["--fixture", "target", *DECISION_FILES],
+    "ambiguous_flag": ["compare", "--f", "x", *DECISION_FILES],
+    "missing_required_flags": ["target"],
+    "missing_value": ["target", "--scenario"],
+    "bad_choice_degree": ["curves", "--degree", "4"],
+    "bad_choice_format": ["stats", "--format", "test"],
+    "bad_type_innings": ["curves", "--innings", "x"],
+    "bad_type_bin_width": ["stats", "--bin-width=inf"],
+    "bad_type_min_support": ["compare", *DECISION_FILES, "--min-support", "0"],
+    "bad_type_until": ["ingest", "--until", "2020-1-1"],
+}
+
+
+def exit_of(parse, argv, capsys):
+    """(exit code, stdout, stderr) of ``parse(argv)``, which must exit."""
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    return (exc.value.code, *capsys.readouterr())
+
+
+def parsed(parser, argv):
+    return {key: value for key, value in vars(parser.parse_args(argv)).items() if key != "func"}
+
+
+@pytest.mark.parametrize("columns", ["60", "120"])
+@pytest.mark.parametrize("argv", [["--help"]] + [[command, "-h"] for command in COMMANDS],
+                         ids=["top"] + list(COMMANDS))
+def test_help_is_the_old_parsers(monkeypatch, capsys, columns, argv):
+    monkeypatch.setenv("COLUMNS", columns)
+    old = exit_of(build_parser().parse_args, argv, capsys)
+    assert old[0] == 0 and old[1].startswith("usage: rainrule")
+    assert exit_of(main, argv, capsys) == old
+    assert cli.build_parser(argv[0]).format_help() == build_parser().format_help()
+
+
+@pytest.mark.parametrize("argv", VALID_ARGVS, ids=" ".join)
+def test_arguments_parse_as_the_old_parser_parses_them(argv):
+    assert parsed(cli.build_parser(argv[0]), argv) == parsed(build_parser(), argv)
+
+
+@pytest.mark.parametrize("name", INVALID_ARGVS)
+def test_bad_arguments_fail_as_with_the_old_parser(monkeypatch, capsys, name):
+    monkeypatch.setenv("COLUMNS", "80")
+    argv = INVALID_ARGVS[name]
+    old = exit_of(build_parser().parse_args, argv, capsys)
+    assert old[0] == 2 and old[1] == "" and "error: " in old[2]
+    assert exit_of(main, argv, capsys) == old
+
+
+def test_only_the_named_command_gets_its_flags():
+    def flags(parser):
+        return [action.option_strings for action in parser._actions]
+
+    [commands] = [a for a in cli.build_parser("target")._actions if a.choices]
+    assert list(commands.choices) == list(COMMANDS)
+    for name, parser in commands.choices.items():
+        if name == "target":
+            assert flags(parser) == [["-h", "--help"], ["--scenario"], ["--fits"], ["--out"]]
+        else:
+            assert flags(parser) == [["-h", "--help"]]

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
 from rainrule import (
     DLCurve,
+    DLFamily,
     DegenerateFitError,
     IncompleteFamilyError,
     InsufficientDataError,
@@ -41,10 +44,32 @@ class TestFitDlCurve:
             with pytest.raises(InsufficientDataError, match=f"^{message}$"):
                 fit_dl_curve(u, [100.0] * len(u), w=0)
 
+    @pytest.mark.parametrize(
+        "u, means, rule",
+        [
+            ([[1.0, 2.0]], [[1.0, 2.0]], "1-D arrays of the same length"),
+            ([1.0, 2.0, 3.0], [1.0, 2.0], "1-D arrays of the same length"),
+            ([-1.0, 0.0], [1.0, 2.0], "every u must be finite and above 0"),
+            ([-2.0, -1.0], [1.0, 2.0], "every u must be finite and above 0"),
+            ([1.0, np.inf], [1.0, 2.0], "every u must be finite and above 0"),
+            ([1.0, np.nan], [1.0, 2.0], "every u must be finite and above 0"),
+            ([1.0, 2.0], [np.nan, 2.0], "every mean must be finite"),
+            ([1.0, 2.0], [1.0, -np.inf], "every mean must be finite"),
+        ],
+    )
+    def test_input_outside_the_models_domain_is_refused(self, u, means, rule):
+        with pytest.raises(ValueError, match=rule):
+            fit_dl_curve(u, means, w=0)
+
+    def test_every_mean_non_positive_is_refused(self):
+        with pytest.raises(DegenerateFitError, match="^all mean remaining runs are non-positive$"):
+            fit_dl_curve([1.0, 2.0, 3.0], [0.0, -1.0, 0.0], w=0)
+
     def test_a_start_the_solver_cannot_leave_is_refused(self):
-        # overs remaining below 0 start decay at -2, outside the region the solver accepts
-        with pytest.raises(DegenerateFitError, match=r"^exponential fit collapsed \(z0="):
-            fit_dl_curve([-2.0, -1.0], [1.0, 2.0], w=0)
+        # z0 starts at 1.2 times the largest mean, here below the floor the solver keeps it above
+        message = r"^exponential fit collapsed \(z0=3\.6e-12, decay=0\.666"
+        with pytest.raises(DegenerateFitError, match=message):
+            fit_dl_curve([1.0, 2.0, 3.0], [1e-12, 2e-12, 3e-12], w=0)
 
     @pytest.mark.parametrize(
         "z0, decay, refused",
@@ -158,6 +183,12 @@ class TestFitDlFamily:
             own = float(np.sum((curve.value(u) - means) ** 2))
             assert curve.rss == pytest.approx(own, rel=1e-9), curve.w
 
+    @pytest.mark.parametrize("ws", [(1, 0), (0, 0)], ids=["unsorted", "repeated"])
+    def test_curves_must_be_sorted_by_w_without_repeats(self, ws):
+        curves = [DLCurve(w=w, z0=250.0, decay=0.04) for w in ws]
+        with pytest.raises(ValueError, match="^curves must be sorted by w without duplicates$"):
+            DLFamily(MatchFormat.ODI, curves)
+
     def test_pool_adjacent_violators(self):
         assert _pool_nonincreasing([3.0, 5.0, 4.0]) == [4.0, 4.0, 4.0]
         assert _pool_nonincreasing([5.0, 4.0, 3.0]) == [5.0, 4.0, 3.0]
@@ -193,6 +224,11 @@ class TestResourceTable:
         family = [DLCurve(w=0, z0=250.0, decay=0.04)]
         table = resource_table(family, 50)
         assert table.percentage(25, 7) == table.percentage(25, 0)
+
+    @pytest.mark.parametrize("max_overs", [0, -1])
+    def test_needs_a_positive_length(self, max_overs):
+        with pytest.raises(ValueError, match=f"^max_overs must be positive, got {max_overs}$"):
+            resource_table([DLCurve(w=0, z0=250.0, decay=0.04)], max_overs)
 
     def test_requires_wicketless_curve(self):
         with pytest.raises(IncompleteFamilyError):
@@ -247,6 +283,23 @@ class TestResourceTable:
         with pytest.raises(ParseError, match=r"\[0, 100\]") as exc:
             load_resource_table(path)
         assert exc.value.position == f"{path}:6"
+
+    def test_unreadable_file_is_a_parse_error(self, tmp_path):
+        for path, reason in [(tmp_path / "missing.csv", "No such file"), (tmp_path, "directory")]:
+            message = f"^cannot read {re.escape(str(path))}: .*{reason}"
+            with pytest.raises(ParseError, match=message):
+                load_resource_table(path)
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"overs_remaining,\xe9\n")
+        with pytest.raises(ParseError, match="^cannot read .*utf-8"):
+            load_resource_table(path)
+
+    def test_blank_lines_are_skipped(self, odi_table, tmp_path):
+        rows = resource_table_csv(odi_table).splitlines()
+        plain, spaced = tmp_path / "plain.csv", tmp_path / "spaced.csv"
+        plain.write_text("\n".join(rows) + "\n")
+        spaced.write_text("\n".join(rows[:3] + ["", "  "] + rows[3:] + [""]) + "\n")
+        assert load_resource_table(spaced) == load_resource_table(plain)
 
     def test_huge_row_label_is_a_coverage_error(self, odi_table, tmp_path):
         rows = resource_table_csv(odi_table).splitlines()
@@ -314,6 +367,20 @@ def reference_gauss_newton(residuals, jacobian, p0, *, accept):
             if lam >= 1e12:
                 return p, rss, iteration, True
     return p, rss, 500, False
+
+
+def test_a_jacobian_of_the_wrong_sign_stays_at_the_start():
+    # every step leads uphill, so the damping grows tenfold from 1e-3 to its 1e12 cap
+    def residuals(p):
+        return p - 1.0
+
+    def jacobian(p):
+        return -np.eye(2)
+
+    p0 = np.array([0.0, 3.0])
+    outcome = leastsq.damped_gauss_newton(residuals, jacobian, p0, accept=lambda p: True)
+    assert outcome.params.tolist() == p0.tolist()
+    assert (outcome.rss, outcome.iterations, outcome.converged) == (5.0, 15, True)
 
 
 def test_solver_matches_the_rebuilding_loop_on_every_fixture_fit(demo, monkeypatch):

@@ -25,7 +25,6 @@ from rainrule import (
     wicket_curve,
     wicket_curves,
 )
-from rainrule.run_curves import distinct_count
 from datetime import date
 
 
@@ -60,6 +59,13 @@ def planted_curve(a, b, c, balls, format=MatchFormat.ODI, support=None):
 
 
 class TestWicketCurve:
+    def test_a_wicket_state_outside_0_to_10_is_refused(self, small_odi):
+        for w in (-1, 11):
+            with pytest.raises(ValueError, match=r"^wickets must be in \[0, 10\]$"):
+                WicketCurve(w, np.array([1]), np.array([1.0]), np.array([1]), MatchFormat.ODI, 1)
+            with pytest.raises(ValueError, match=r"^w must be in \[0, 10\]$"):
+                wicket_curve(small_odi, MatchFormat.ODI, 1, w)
+
     def test_hand_computed_means(self):
         # two full T20 innings: constant 1 and constant 2 runs per ball
         first = one_innings_match("m1", flat_innings(1, [1] * 120))
@@ -213,11 +219,17 @@ class TestFitPoly:
         with pytest.raises(SingularFitError, match=message.format(3, 2, 1)):
             fit_poly(single, degree=2)
 
-    @pytest.mark.parametrize("values", [[], [1.0], [2.0, 1.0, 2.0], [0.0, -0.0],
-                                        [np.nan, 1.0, np.nan], [np.inf, -np.inf, np.inf]])
-    def test_distinct_count_counts_as_np_unique_does(self, values):
-        values = np.array(values, dtype=float)
-        assert distinct_count(values) == np.unique(values).size
+    def test_zero_support_is_singular(self):
+        curve = planted_curve(0.0, 1.0, 0.5, range(1, 11), support=[0] * 10)
+        with pytest.raises(SingularFitError, match="^normal equations are singular: "):
+            fit_poly(curve, degree=3)
+
+    def test_overflowing_means_give_non_finite_coefficients(self):
+        curve = planted_curve(0.0, 1.0, 0.5, range(1, 11))
+        huge = WicketCurve(0, curve.balls, np.full(10, 1e308), curve.support, MatchFormat.ODI, 1)
+        message = "^non-finite coefficients from normal equations$"
+        with pytest.raises(SingularFitError, match=message):
+            fit_poly(huge, degree=3)
 
     def test_degree_validation(self):
         curve = planted_curve(0.0, 1.0, 0.5, range(1, 20))
