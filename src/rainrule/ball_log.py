@@ -25,7 +25,6 @@ from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, fields
 from datetime import date
 from enum import Enum
-from functools import cached_property
 from pathlib import Path
 from typing import NamedTuple
 
@@ -119,22 +118,34 @@ class RowError(ValueError):
         self.row = row
 
 
-def _column(values, dtype) -> np.ndarray:
-    """A read-only copy; a value past int64 is pinned to the nearer end,
-    where a delivery rule rejects it."""
-    try:
-        column = np.array(values, dtype=dtype)
-    except OverflowError:
-        column = np.array([min(max(v, _I64.min), _I64.max) for v in values], dtype=dtype)
-    column.setflags(write=False)
-    return column
+def _first_bad_row(low: np.ndarray, high: np.ndarray, scarce: np.ndarray) -> RowError:
+    """The first row outside a bound, with the first rule it breaks: ``low`` and ``high``
+    mark the rows of each bounded column below :data:`_LEAST` and above :data:`_MOST`,
+    and ``scarce`` the rows whose extras fall below :data:`_LEAST_EXTRAS`."""
+    rules = (
+        (low[:2], "over must be >= 0 and ball_in_over >= 1"),
+        (high[:2], "over or ball_in_over past int64"),
+        (low[2:4], "negative runs"),
+        (high[2:4], f"more than {_MAX_DELIVERY_RUNS} runs from one delivery"),
+        (low[4:] | high[4:], "unknown extras kind code"),
+        (scarce[None], "wide/no-ball must credit at least one extra run"),
+    )
+    row = int(((low | high).any(axis=0) | scarce).argmax())
+    return RowError(row, next(message for masks, message in rules if masks[:, row].any()))
 
 
 def freeze_columns(record, **dtypes) -> None:
-    """Set each named array field of a record to a read-only :func:`_column` copy of
-    its dtype (``None`` keeps the given one); unequal shapes raise ``ValueError``."""
+    """Set each named array field of a record to a read-only copy of its dtype (``None``
+    keeps the given one), a value past int64 pinned to the nearer end, where a delivery
+    rule rejects it; unequal shapes raise ``ValueError``."""
     for name, dtype in dtypes.items():
-        object.__setattr__(record, name, _column(getattr(record, name), dtype))
+        values = getattr(record, name)
+        try:
+            column = np.array(values, dtype=dtype)
+        except OverflowError:
+            column = np.array([min(max(v, _I64.min), _I64.max) for v in values], dtype=dtype)
+        column.setflags(write=False)
+        object.__setattr__(record, name, column)
     if len({getattr(record, name).shape for name in dtypes}) != 1:
         raise ValueError("columns differ in length")
 
@@ -171,34 +182,19 @@ class InningsRecord:
         if self.innings_index not in (1, 2):
             raise ValueError("innings_index must be 1 or 2")
         freeze_columns(self, **_COLUMN_DTYPES)
-        # every row rule at once as bounds; the rules one by one only to name a failure
+        # every row rule at once as bounds, which also name the first failure
         bounded = np.array(
             [self.over, self.ball_in_over, self.batter_runs, self.extras_runs, self.kind]
         )
-        if ((bounded < _LEAST) | (bounded > _MOST)).any() or (
-            self.extras_runs < _LEAST_EXTRAS.take(self.kind, mode="clip")
-        ).any():
-            raise self._first_bad_row()
+        low, high = bounded < _LEAST, bounded > _MOST
+        scarce = self.extras_runs < _LEAST_EXTRAS.take(self.kind, mode="clip")
+        if (low | high).any() or scarce.any():
+            raise _first_bad_row(low, high, scarce)
         step = bounded[:2, 1:] - bounded[:2, :-1]  # within bounds, so it cannot wrap
         if (np.where(step[0], step[0], step[1]) < 0).any():
             raise ValueError("deliveries not ordered by (over, ball_in_over)")
         if np.count_nonzero(self.wicket) > 10:
             raise ValueError("more than 10 wickets in one innings")
-
-    def _first_bad_row(self) -> RowError:
-        """The first row that breaks a delivery rule, with the first rule it breaks."""
-        over, ball = self.over, self.ball_in_over
-        batter, extras, cap = self.batter_runs, self.extras_runs, _MAX_DELIVERY_RUNS
-        rules = (
-            ((over < 0) | (ball < 1), "over must be >= 0 and ball_in_over >= 1"),
-            ((over == _I64.max) | (ball == _I64.max), "over or ball_in_over past int64"),
-            ((batter < 0) | (extras < 0), "negative runs"),
-            ((batter > cap) | (extras > cap), f"more than {cap} runs from one delivery"),
-            ((self.kind < 0) | (self.kind >= len(_KINDS)), "unknown extras kind code"),
-            (~self.legal & (extras < 1), "wide/no-ball must credit at least one extra run"),
-        )
-        row = int(np.logical_or.reduce([mask for mask, _ in rules]).argmax())
-        return RowError(row, next(message for mask, message in rules if mask[row]))
 
     __eq__ = value_eq
 
@@ -207,9 +203,9 @@ class InningsRecord:
         # an unknown code reads as a kind at the nearer end, until the kind rule names its row
         return LEGAL_BY_CODE.take(self.kind, mode="clip")
 
-    @cached_property
+    @property
     def deliveries(self) -> tuple[Delivery, ...]:
-        """The rows as :class:`Delivery` views, built on first use."""
+        """The rows as :class:`Delivery` views, built on each call."""
         rows = zip(*(getattr(self, c).tolist() for c in _COLUMNS), self.legal.tolist())
         return tuple(Delivery(o, b, r, x, _KINDS[k], w, ok) for o, b, r, x, k, w, ok in rows)
 

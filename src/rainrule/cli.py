@@ -22,7 +22,7 @@ import os
 import sys
 from pathlib import Path
 
-# the batch modules, numpy and datetime are imported by the commands that use
+# the batch modules and numpy are imported by the commands that use
 # them, and target_engine by the two that revise, so ``target`` loads only
 # target_engine, fits and errors
 from .errors import (
@@ -46,8 +46,6 @@ def _corpus(args: argparse.Namespace) -> Corpus:
     """Every readable match of the source, by match id, dated up to ``--until``.
 
     Each command applies ``--format`` where it selects its matches or innings."""
-    from datetime import date
-
     from .ball_log import Corpus, load_corpus
 
     if args.fixture:
@@ -60,8 +58,8 @@ def _corpus(args: argparse.Namespace) -> Corpus:
         raise EmptySelectionError(
             "no data source: pass --data-dir, set RAINRULE_DATA_DIR, or use --fixture"
         )
-    until = args.until or date.max
-    kept = sorted((m for m in source if m.date <= until), key=lambda m: m.match_id)
+    kept = sorted((m for m in source if args.until is None or m.date <= args.until),
+                  key=lambda m: m.match_id)
     return Corpus(tuple(kept), source.diagnostics)
 
 
@@ -88,10 +86,10 @@ def _read_json(path: Path):
 
 def _emit(args: argparse.Namespace, name: str, payload: dict) -> None:
     """Write ``payload`` to ``--out``/``name`` when asked, then print it."""
+    text = json.dumps(payload, indent=2, sort_keys=True)
     if args.out:
-        args.out.mkdir(parents=True, exist_ok=True)
-        _write_json(args.out / name, payload)
-    print(json.dumps(payload, indent=2, sort_keys=True))
+        (_output_dir(args) / name).write_text(text + "\n", encoding="utf-8")
+    print(text)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from datetime import date
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -258,13 +259,17 @@ def export_csv(matches: Iterable[MatchRecord], destination: str | Path) -> int:
     Every match id is checked before the file is opened, so a refused id writes
     nothing; each innings is then written at once, each distinct row tail (the
     fields after the innings index) formatted once."""
+
+    @cache
+    def tail(o, b, ok, r, x, k, w) -> str:
+        return f"{o},{b},{_CSV_BOOL[ok]},{r},{x},{_KIND_NAMES[k]},{_CSV_BOOL[w]}\n"
+
     matches = list(matches)
     for mid in (match.match_id for match in matches):
         # a comma or a line break would split on reading; a lone surrogate has no UTF-8
         if ("," in mid or "".join(mid.splitlines()) != mid
                 or mid.encode(errors="ignore").decode() != mid):
             raise DataError(f"match id {mid!r} cannot be written to a CSV ball log")
-    tails: dict[tuple, str] = {}
     rows = 0
     with open(destination, "w", encoding="utf-8", newline="\n") as out:
         out.write(CSV_HEADER + "\n")
@@ -273,13 +278,6 @@ def export_csv(matches: Iterable[MatchRecord], destination: str | Path) -> int:
                 head = f"{match.match_id},{match.format.value},{inn.innings_index},"
                 columns = (inn.over, inn.ball_in_over, inn.legal, inn.batter_runs,
                            inn.extras_runs, inn.kind, inn.wicket)
-                out.write("".join(head + (tails.get(row) or _tail(tails, row))
-                                  for row in zip(*(column.tolist() for column in columns))))
+                out.write("".join(head + tail(*row) for row in zip(*(c.tolist() for c in columns))))
                 rows += inn.over.size
     return rows
-
-
-def _tail(tails: dict[tuple, str], row: tuple) -> str:
-    o, b, ok, r, x, k, w = row
-    tails[row] = f"{o},{b},{_CSV_BOOL[ok]},{r},{x},{_KIND_NAMES[k]},{_CSV_BOOL[w]}\n"
-    return tails[row]

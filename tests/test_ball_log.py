@@ -63,6 +63,15 @@ class TestParseMatch:
         assert [len(inn.deliveries) for inn in rec.innings] == [6, 6]
         assert rec.teams == ("Northern Lights", "Harbour Kings")
 
+    def test_deliveries_are_views_not_a_second_copy(self):
+        innings = parse_match(fixture_path("tiny_odi.json").read_bytes()).innings[0]
+        assert innings.deliveries == innings.deliveries
+        # reading the rows leaves the innings holding its eight fields and nothing else
+        assert list(vars(innings)) == [
+            "innings_index", "batting_team", "over", "ball_in_over", "batter_runs",
+            "extras_runs", "kind", "wicket",
+        ]
+
     def test_wide_is_normalized_illegal(self):
         rec = parse_match(fixture_path("tiny_odi.json").read_text())
         wide = rec.innings[0].deliveries[2]
