@@ -48,7 +48,9 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class WicketCurve:
-    """Mean cumulative score per ball, conditioned on exactly ``wickets`` down."""
+    """Mean cumulative score per ball, conditioned on exactly ``wickets`` down.
+
+    Every mean is finite, and every ball has the support of at least one innings."""
 
     wickets: int
     balls: np.ndarray
@@ -63,6 +65,10 @@ class WicketCurve:
         freeze_columns(self, balls=np.int64, means=float, support=np.int64)
         if np.any(np.diff(self.balls) <= 0):
             raise ValueError("duplicate or unordered ball values in curve")
+        if not np.all(self.support >= 1):
+            raise ValueError("every support must be at least 1")
+        if not np.all(np.isfinite(self.means)):
+            raise ValueError("every mean must be finite")
 
     __eq__ = value_eq
 

@@ -39,7 +39,10 @@ _MAX_BINS = 100_000  # far more than any totals histogram needs
 
 @dataclass(frozen=True, eq=False)
 class Histogram:
-    """Uniform-width histogram with left-closed right-open bins."""
+    """Uniform-width histogram with left-closed right-open bins.
+
+    The bin width is finite and above 0, and every count finite and at least 0;
+    counts need not be whole."""
 
     bin_width: float
     bin_lower_edges: np.ndarray
@@ -47,6 +50,10 @@ class Histogram:
 
     def __post_init__(self):
         freeze_columns(self, bin_lower_edges=None, counts=None)
+        if not 0 < self.bin_width < math.inf:
+            raise ValueError("bin_width must be finite and above 0")
+        if not np.all((self.counts >= 0) & (self.counts < math.inf)):
+            raise ValueError("every count must be finite and at least 0")
 
     __eq__ = value_eq
 

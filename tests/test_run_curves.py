@@ -131,6 +131,19 @@ class TestWicketCurve:
         with pytest.raises(ValueError, match="columns differ in length"):
             WicketCurve(0, np.arange(1, 4), np.ones(n_means), np.ones(3), MatchFormat.ODI, 1)
 
+    def test_negative_support_is_refused(self):
+        # support -1 on every ball of an exact line was fitted, with rss=-9.5e-27
+        with pytest.raises(ValueError, match="^every support must be at least 1$"):
+            planted_curve(0.0, 1.0, 0.5, range(1, 11), support=[-1] * 10)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_means_must_be_finite(self, bad):
+        # a NaN mean was reported as non-finite coefficients from the normal equations
+        means = np.arange(1.0, 11.0)
+        means[3] = bad
+        with pytest.raises(ValueError, match="^every mean must be finite$"):
+            WicketCurve(0, np.arange(1, 11), means, np.ones(10), MatchFormat.ODI, 1)
+
 
 def reference_wicket_curve(corpus, format, innings_index, w, min_support):
     """(balls, means, support) for one wicket state, from its own corpus pass."""
@@ -219,10 +232,10 @@ class TestFitPoly:
         with pytest.raises(SingularFitError, match=message.format(3, 2, 1)):
             fit_poly(single, degree=2)
 
-    def test_zero_support_is_singular(self):
-        curve = planted_curve(0.0, 1.0, 0.5, range(1, 11), support=[0] * 10)
-        with pytest.raises(SingularFitError, match="^normal equations are singular: "):
-            fit_poly(curve, degree=3)
+    def test_zero_support_is_refused_when_built(self):
+        # it reached fit_poly and its singular normal equations before WicketCurve refused it
+        with pytest.raises(ValueError, match="^every support must be at least 1$"):
+            planted_curve(0.0, 1.0, 0.5, range(1, 11), support=[0] * 10)
 
     def test_overflowing_means_give_non_finite_coefficients(self):
         curve = planted_curve(0.0, 1.0, 0.5, range(1, 11))

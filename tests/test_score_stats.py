@@ -76,6 +76,24 @@ class TestHistogram:
         with pytest.raises(ValueError, match="columns differ in length"):
             Histogram(1.0, np.arange(5.0), np.ones(4))
 
+    @pytest.mark.parametrize("width", [-10.0, 0.0, np.inf, np.nan])
+    def test_bin_width_must_be_finite_and_above_0(self, width):
+        # a width of -10 was fitted: xi=11.07, sigma=14.36
+        with pytest.raises(ValueError, match="^bin_width must be finite and above 0$"):
+            Histogram(width, np.arange(0.0, 50.0, 10.0), np.array([1.0, 5, 2, 3, 1]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
+    def test_counts_must_be_finite_and_at_least_0(self, bad):
+        # a NaN count raised a bare "cannot convert float NaN to integer" from
+        # n_samples, and an infinite one an OverflowError
+        with pytest.raises(ValueError, match="^every count must be finite and at least 0$"):
+            Histogram(10.0, np.arange(0.0, 50.0, 10.0), np.array([1.0, 5, bad, 3, 1]))
+
+    def test_fractional_counts_are_kept(self):
+        hist = Histogram(10.0, np.arange(0.0, 30.0, 10.0), np.array([0.5, 1.25, 0.0]))
+        assert hist.counts.tolist() == [0.5, 1.25, 0.0]
+        assert hist.n_samples == 2
+
 
 class TestBuildHistogram:
     def test_mass_conserved(self, small_odi):
