@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import re
 import sys
@@ -65,12 +66,9 @@ class TestParseMatch:
 
     def test_deliveries_are_views_not_a_second_copy(self):
         innings = parse_match(fixture_path("tiny_odi.json").read_bytes()).innings[0]
-        assert innings.deliveries == innings.deliveries
+        assert len(innings.deliveries) == innings.over.size
         # reading the rows leaves the innings holding its eight fields and nothing else
-        assert list(vars(innings)) == [
-            "innings_index", "batting_team", "over", "ball_in_over", "batter_runs",
-            "extras_runs", "kind", "wicket",
-        ]
+        assert list(vars(innings)) == [f.name for f in dataclasses.fields(InningsRecord)]
 
     def test_wide_is_normalized_illegal(self):
         rec = parse_match(fixture_path("tiny_odi.json").read_text())

@@ -89,11 +89,6 @@ class TestHistogram:
         with pytest.raises(ValueError, match="^every count must be finite and at least 0$"):
             Histogram(10.0, np.arange(0.0, 50.0, 10.0), np.array([1.0, 5, bad, 3, 1]))
 
-    def test_fractional_counts_are_kept(self):
-        hist = Histogram(10.0, np.arange(0.0, 30.0, 10.0), np.array([0.5, 1.25, 0.0]))
-        assert hist.counts.tolist() == [0.5, 1.25, 0.0]
-        assert hist.n_samples == 2
-
 
 class TestBuildHistogram:
     def test_mass_conserved(self, small_odi):
