@@ -48,9 +48,7 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class WicketCurve:
-    """Mean cumulative score per ball, conditioned on exactly ``wickets`` down.
-
-    Every mean is finite, and every ball has the support of at least one innings."""
+    """Mean cumulative score per ball, conditioned on exactly ``wickets`` down."""
 
     wickets: int
     balls: np.ndarray

@@ -39,10 +39,7 @@ _MAX_BINS = 100_000  # far more than any totals histogram needs
 
 @dataclass(frozen=True, eq=False)
 class Histogram:
-    """Uniform-width histogram with left-closed right-open bins.
-
-    The bin width is finite and above 0, and every count finite and at least 0;
-    counts need not be whole."""
+    """Uniform-width histogram with left-closed right-open bins."""
 
     bin_width: float
     bin_lower_edges: np.ndarray
