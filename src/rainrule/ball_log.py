@@ -178,10 +178,14 @@ class InningsRecord:
     kind: np.ndarray
     wicket: np.ndarray
 
-    def __post_init__(self):
+    def __post_init__(self, adopt: bool = False):
         if self.innings_index not in (1, 2):
             raise ValueError("innings_index must be 1 or 2")
-        freeze_columns(self, **_COLUMN_DTYPES)
+        if adopt:
+            for name in _COLUMNS:
+                getattr(self, name).setflags(write=False)
+        else:
+            freeze_columns(self, **_COLUMN_DTYPES)
         # every row rule at once as bounds, which also name the first failure
         bounded = np.array(
             [self.over, self.ball_in_over, self.batter_runs, self.extras_runs, self.kind]
@@ -197,6 +201,17 @@ class InningsRecord:
             raise ValueError("more than 10 wickets in one innings")
 
     __eq__ = value_eq
+
+    @classmethod
+    def _adopt(cls, *values) -> InningsRecord:
+        """The record of ``values``, checked as ``__init__`` checks it, that keeps the
+        columns it is given, made read-only, instead of copies: for a reader that gives
+        up arrays it built of the column dtypes and one length, and keeps no reference."""
+        record = cls.__new__(cls)
+        for f, value in zip(fields(cls), values):
+            object.__setattr__(record, f.name, value)
+        record.__post_init__(adopt=True)
+        return record
 
     @property
     def legal(self) -> np.ndarray:

@@ -49,8 +49,10 @@ _READ_ORDER = (
 )
 
 _CSV_HEAD = (CSV_HEADER + "\n").encode()
-# ``str.splitlines`` ends a line at each of these as well as at "\n"
-_OTHER_LINE_BREAKS = tuple(c.encode() for c in "\r\v\f\x1c\x1d\x1e\x85\u2028\u2029")
+# ``str.splitlines`` ends a line at each of these as well as at "\n": ASCII ones, then others
+_ASCII_BREAKS = tuple(c.encode() for c in "\r\v\f\x1c\x1d\x1e")
+_OTHER_BREAKS = tuple(c.encode() for c in "\x85\u2028\u2029")
+_BLOCK = 1 << 17  # bytes of whole lines parsed at once; one block's work is held at a time
 _MAX_DIGITS = 18  # every number of up to 18 digits fits int64
 _MAX_TOKEN = 7  # bytes of a token; an eighth holds its length in its key
 _COMMA, _NEWLINE, _ZERO = (ord(c) for c in ",\n0")
@@ -59,6 +61,8 @@ _I64 = np.iinfo(np.int64)
 # _LOW_BYTES[k] keeps the k lowest bytes of a little-endian word, _HIGH_BYTES[k] the k highest
 _LOW_BYTES = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)
 _HIGH_BYTES = _LOW_BYTES[::-1] ^ _LOW_BYTES[-1]
+# the record column each field fills, in InningsRecord's order
+_RECORD_FIELDS = (3, 4, 6, 7, 8, 9)
 
 
 def read_log(data: bytes | str) -> list[MatchRecord]:
@@ -66,109 +70,141 @@ def read_log(data: bytes | str) -> list[MatchRecord]:
 
     The log is read a column at a time, as it would be row by row: numpy parses
     integers by digit arithmetic and converts each distinct token once, and any
-    other cell goes through the same converter on its own.  A :class:`ParseError`
-    names the first fault: bytes that are not UTF-8, the header, the first bad
-    line, then the first innings, match by match, that breaks a delivery rule
-    (at its line) or an innings rule.
+    other cell goes through the same converter on its own.  It is parsed
+    :data:`_BLOCK` bytes of whole lines at a time into the records' own columns,
+    so it holds the log, the records and one block's work at once.  A
+    :class:`ParseError` names the first fault: bytes that are not UTF-8, the
+    header, the first bad line, then the first innings, match by match, that
+    breaks a delivery rule (at its line) or an innings rule.
     """
-    decode(data)  # a log that is not UTF-8 is refused at its first bad byte, before all else
     # a str keeps any lone surrogate through its bytes
     raw = data if isinstance(data, bytes) else data.encode("utf-8", "surrogatepass")
-    sep, lines, error = _separators(raw), range(2, len(raw) + 2), None  # row r is at lines[r]
-    if sep is None:  # other line breaks, blank lines, no final newline or a short line
+    breaks = _ASCII_BREAKS  # all an ASCII log can hold, and an ASCII log is UTF-8
+    if not raw.isascii():  # a log that is not UTF-8 is refused at its first bad byte, first
+        decode(data)
+        breaks += _OTHER_BREAKS
+    lines, error = range(2, len(raw) + 2), None  # row r is at lines[r]
+    canonical = raw.startswith(_CSV_HEAD) and not any(c in raw for c in breaks)
+    read = _read_blocks(raw, lines) if canonical else None
+    if read is None:  # other line breaks, blank lines, no final newline or a short line
         raw, lines, error = _rows(decode(data))
-        sep = _separators(raw)
-    buf = np.frombuffer(raw, np.uint8)
-
-    def field(k):  # (begin, end) of field k of each row, past the header
-        return sep[9 + k:-1:10] + 1, sep[10 + k::10]
-
-    def fail(message, r):
-        return ParseError(message, position=f"line {lines[r]}")
-
-    def cells(r):
-        return _text(raw[sep[9 + 10 * r] + 1:sep[19 + 10 * r]]).split(",")
-
-    n = sep.size // 10 - 1  # rows
-    if n:
-        columns, bad = {}, []  # field -> its values; the first bad row of each column
-        for k, convert in _READ_ORDER:
-            parse = _integers if convert is int else _tokens
-            columns[k], refused = parse(buf, *field(k), convert)
-            bad += refused[:1]
-        index, fmt, kind, wicket = columns[2], columns[1], columns[8], columns[9]
-        # the one field no column holds: legality follows from the kind
-        bad += np.flatnonzero((columns[5] == 1) != LEGAL_BY_CODE[kind])[:1].tolist()
-        if bad:  # the rows end at the first bad one
-            n = min(bad)
-            row = cells(n)
-            try:
-                for k, convert in _READ_ORDER:
-                    convert(row[k])
-                raise ValueError("legal flag inconsistent with extras kind")
-            except (UnsupportedFormatError, ValueError) as e:
-                error = fail(f"bad delivery row: {e}", n)
-    if not n:
-        if error:
-            raise error
-        return []
-
-    # an innings is the runs of rows under one match id and innings index
-    begin, end = (position[:n] for position in field(0))
-    new_run = _changes(buf, begin, end) | (index[1:n] != index[:n - 1])
-    firsts = np.append(0, np.flatnonzero(new_run) + 1)
-    # match id -> (format, innings index -> its runs), in order of first appearance
-    by_match: dict[str, tuple[int, dict[int, list[slice]]]] = {}
-    run_formats = []  # the format of each run's match
-    for a, b, at, to, idx, code in zip(
-        firsts.tolist(), np.append(firsts[1:], n).tolist(), begin[firsts].tolist(),
-        end[firsts].tolist(), index[firsts].tolist(), fmt[firsts].tolist(),
-    ):
-        match_code, by_index = by_match.setdefault(_text(raw[at:to]), (code, {}))
-        run_formats.append(match_code)
-        by_index.setdefault(idx, []).append(slice(a, b))
-    run_formats = np.repeat(np.int8(run_formats), np.diff(firsts, append=n))
-    conflicts = np.flatnonzero(fmt[:n] != run_formats)
-    if conflicts.size:
-        raise fail(f"conflicting formats for match {cells(conflicts[0])[0]!r}", conflicts[0])
+        read = _read_blocks(raw, lines)
     if error:
         raise error
+    columns, runs, formats = read
 
+    # an innings is the runs of rows under one match id and innings index
+    by_match = {mid: (code, {}) for mid, code in formats.items()}
+    n = columns[0].size
+    for (a, mid, idx, at), b in zip(runs, [run[0] for run in runs[1:]] + [n]):
+        by_match[mid][1].setdefault(idx, []).append((slice(a, b), at))
     records = []
     for mid, (code, by_index) in by_match.items():
         innings = []
-        for idx, runs in by_index.items():
-            rows = runs[0] if len(runs) == 1 else np.r_[tuple(runs)]
+        for idx, pieces in by_index.items():
+            rows = pieces[0][0] if len(pieces) == 1 else np.r_[tuple(s for s, _ in pieces)]
             try:
-                innings.append(InningsRecord(
-                    idx, "", *(columns[k][rows] for k in (3, 4, 6, 7)), kind[rows], wicket[rows]
-                ))
+                innings.append(InningsRecord._adopt(idx, "", *(column[rows] for column in columns)))
             except RowError as e:
-                raise fail(f"bad delivery row: {e}", np.arange(n)[rows][e.row]) from e
+                row = np.arange(n)[rows][e.row]
+                raise ParseError(f"bad delivery row: {e}", position=f"line {lines[row]}") from e
             except ValueError as e:
-                idx = int(cells(np.arange(n)[rows][0])[2])  # as written, past int64 too
+                at = pieces[0][1]  # the innings index as written, past int64 too
+                idx = int(_text(raw[at:raw.index(b"\n", at)]).split(",")[2])
                 raise ParseError(f"bad innings {idx} of match {mid!r}: {e}") from e
         innings.sort(key=lambda inn: inn.innings_index)
         records.append(MatchRecord(mid, _FORMATS[code], _CSV_EPOCH, ("", ""), "", innings))
     return records
 
 
-def _separators(raw: bytes) -> np.ndarray | None:
-    """The position of every comma and newline, found 256 KiB at a time, of a log
-    that is the header, then lines of 10 fields, each ended by one newline; else ``None``."""
-    if not raw.startswith(_CSV_HEAD) or any(c in raw for c in _OTHER_LINE_BREAKS):
-        return None
+def _read_blocks(raw: bytes, lines):
+    """The record columns of a log that is the header, then lines of 10 fields, each
+    ended by one newline, read a block of whole lines at a time; its runs of rows under
+    one match id and innings index, each as (first row, match id, innings index, offset
+    of its line); and each match id's format code, in order of first appearance.
+    ``None`` if the lines are not of that layout.  Raises the first conflicting format
+    before the first bad row, else the first bad row."""
     buf = np.frombuffer(raw, np.uint8)
-    dtype = np.int32 if buf.size <= np.iinfo(np.int32).max else np.int64
-    step = 1 << 18
-    sep = np.concatenate([
-        (np.flatnonzero((buf[i:i + step] == _COMMA) | (buf[i:i + step] == _NEWLINE)) + i)
-        .astype(dtype)
-        for i in range(0, buf.size, step)
-    ])
-    if sep.size % 10 or sep[-1] != buf.size - 1 or (buf[sep].reshape(-1, 10) != _LINE).any():
+    n = raw.count(b"\n") - 1  # the rows, if every line is one
+    columns = [np.empty(n, np.int64) for _ in _RECORD_FIELDS[:-1]] + [np.empty(n, bool)]
+    runs, formats = [], {}
+    r, last = 0, (0, 0, 0)  # the rows read; the match id (begin, end) and index of the last
+
+    def read(at, to):  # the lines of buf[at:to] into the columns, or False if not of the layout
+        nonlocal r, last
+        sep = _separators(buf, at, to)
+        if sep is None:
+            return False
+
+        def field(k):  # (begin, end) of field k of each row of the block
+            return sep[k:-1:10] + 1, sep[k + 1::10]
+
+        def fail(message, i):
+            return ParseError(message, position=f"line {lines[r + i]}")
+
+        def cells(i):
+            return _text(raw[sep[10 * i] + 1:sep[10 * i + 10]]).split(",")
+
+        values, bad = {}, []  # field -> its values in the block; the first bad row of each
+        for k, convert in _READ_ORDER:
+            parse = _integers if convert is int else _tokens
+            values[k], refused = parse(buf, *field(k), convert)
+            bad += refused[:1]
+        # the one field no column holds: legality follows from the kind
+        bad += np.flatnonzero((values[5] == 1) != LEGAL_BY_CODE[values[8]])[:1].tolist()
+        stop = min(bad, default=sep.size // 10)  # the rows end at the first bad one
+
+        # a row starts a run where its match id or innings index differs from the row
+        # before's, read at its own offsets in the log, across the blocks
+        begin, end = (position[:stop] for position in field(0))
+        index, fmt = values[2][:stop], values[1][:stop]
+        new_run = _changes(buf, np.append(last[0], begin), np.append(last[1], end))
+        new_run |= np.append(last[2], index)[:-1] != index
+        new_run[:1] |= not r  # the first row starts the first run
+        firsts = np.flatnonzero(new_run)
+        # the format of each row's match: the run the block goes on with, then each new one
+        codes = [formats[runs[-1][1]] if runs else -1]
+        for first, b, e, idx, code in zip(firsts.tolist(), begin[firsts].tolist(),
+                                          end[firsts].tolist(), index[firsts].tolist(),
+                                          fmt[firsts].tolist()):
+            mid = _text(raw[b:e])
+            codes.append(formats.setdefault(mid, code))
+            runs.append((r + first, mid, idx, sep[10 * first] + 1))
+        conflicts = np.flatnonzero(fmt != np.int8(codes)[np.cumsum(new_run)])
+        if conflicts.size:
+            c = int(conflicts[0])
+            raise fail(f"conflicting formats for match {cells(c)[0]!r}", c)
+        if bad:
+            row = cells(stop)
+            try:
+                for k, convert in _READ_ORDER:
+                    convert(row[k])
+                raise ValueError("legal flag inconsistent with extras kind")
+            except (UnsupportedFormatError, ValueError) as e:
+                raise fail(f"bad delivery row: {e}", stop) from e
+        for column, k in zip(columns, _RECORD_FIELDS):
+            column[r:r + stop] = values[k]
+        r, last = r + stop, (begin[-1], end[-1], index[-1])
+        return True
+
+    at = len(_CSV_HEAD)
+    while at < len(raw):
+        to = raw.find(b"\n", at + _BLOCK - 1) + 1 or len(raw)
+        if not read(at, to):
+            return None
+        at = to
+    return columns, runs, formats
+
+
+def _separators(buf: np.ndarray, at: int, to: int) -> np.ndarray | None:
+    """``at - 1``, then the position of every comma and newline of ``buf[at:to]``, if
+    those bytes are lines of 10 fields, each ended by one newline; else ``None``."""
+    block = buf[at:to]
+    sep = np.flatnonzero((block == _COMMA) | (block == _NEWLINE))
+    if (not sep.size or sep.size % 10 or sep[-1] != block.size - 1
+            or (block[sep].reshape(-1, 10) != _LINE).any()):
         return None
-    return sep
+    return np.append(at - 1, sep + at)
 
 
 def _rows(text: str) -> tuple[bytes, list[int], ParseError | None]:

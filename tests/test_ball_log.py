@@ -1116,12 +1116,13 @@ def test_format_spellings_name_one_format(tmp_path):
 def record_builders(monkeypatch):
     """The set that collects the name of each function in which the CSV reader builds an innings."""
     builders = set()
+    adopt = InningsRecord._adopt
 
     def build(*args):
         builders.add(sys._getframe(1).f_code.co_name)
-        return InningsRecord(*args)
+        return adopt(*args)
 
-    monkeypatch.setattr(csv_log, "InningsRecord", build)
+    monkeypatch.setattr(InningsRecord, "_adopt", build)
     return builders
 
 
