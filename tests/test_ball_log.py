@@ -6,6 +6,7 @@ import dataclasses
 import json
 import re
 import sys
+import tracemalloc
 from datetime import date
 
 import numpy as np
@@ -1017,15 +1018,62 @@ def exported_text(matches, tmp_path):
     return path.read_text()
 
 
+@pytest.fixture(params=[csv_log._BLOCK, 1], ids=lambda size: f"block{size}")
+def block(request, monkeypatch):
+    """Bytes of whole lines the CSV reader parses at once: its default, or one line, so
+    that a block ends on every row: inside an innings, between innings, on the first bad
+    row and on a conflicting one."""
+    monkeypatch.setattr(csv_log, "_BLOCK", request.param)
+    return request.param
+
+
 CSV_CORPORA = [("demo", None)] + [(fmt.value, seed) for fmt in MatchFormat for seed in (1, 7, 7919)]
 
 
+# the default block, or one of about 25 rows
+@pytest.mark.parametrize(
+    "block", [csv_log._BLOCK, 1000], indirect=True, ids=lambda size: f"block{size}"
+)
 @pytest.mark.parametrize("name, seed", CSV_CORPORA, ids=[f"{n}-{s}" for n, s in CSV_CORPORA])
-def test_csv_reader_matches_the_row_by_row_reader(tmp_path, demo, name, seed):
+def test_csv_reader_matches_the_row_by_row_reader(tmp_path, demo, block, name, seed):
     matches = demo if seed is None else synthetic_corpus(MatchFormat(name), 6, seed=seed)
     got, want = read_both(exported_text(matches, tmp_path))
     assert isinstance(got, list) and got == want
     assert [m.match_id for m in got] == [m.match_id for m in matches]
+
+
+def test_a_log_of_several_blocks_matches_the_row_by_row_reader(tmp_path):
+    text = exported_text(synthetic_corpus(MatchFormat.ODI, 10, seed=1), tmp_path)
+    assert len(text) > csv_log._BLOCK
+    got, want = read_both(text)
+    assert isinstance(got, list) and got == want
+    # the records keep the reader's own columns, read-only as every record's are
+    columns = [getattr(inn, name) for m in got for inn in m.innings for name in ball_log._COLUMNS]
+    assert not any(column.flags.writeable for column in columns)
+
+
+def read_log_excess(raw):
+    """The tracemalloc peak of ``read_log(raw)`` above what its records keep, less the
+    bytes of ``raw``, which exist before tracing starts."""
+    tracemalloc.start()
+    try:
+        records = csv_log.read_log(raw)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert records
+    return peak - kept
+
+
+@pytest.mark.parametrize("n_matches", [10, 80])
+def test_csv_reader_holds_one_block_beside_the_log_and_its_records(tmp_path, n_matches):
+    export_csv(synthetic_corpus(MatchFormat.ODI, n_matches, seed=1), tmp_path / "balls.csv")
+    raw = (tmp_path / "balls.csv").read_bytes()
+    # Fixed from the block size, whatever the log's: a block of B bytes of lines of 10
+    # fields has at most B/2 separators and B/20 rows, so at once it holds at most its
+    # separator positions (4B), its values of 10 fields (2.6B) and one field's
+    # temporaries (about 3B); 16B leaves room for the per-run lists.
+    assert read_log_excess(raw) < 16 * csv_log._BLOCK
 
 
 # valid tokens in other spellings, and bad ones, for any cell
@@ -1036,12 +1084,16 @@ CELL_TOKENS = [
 ]
 
 
-def test_csv_reader_agrees_with_the_reference_on_corrupted_logs(tmp_path):
+def test_csv_reader_agrees_with_the_reference_on_corrupted_logs(tmp_path, monkeypatch):
     matches = synthetic_corpus(MatchFormat.T20I, 2, seed=3)
     lines = exported_text(matches, tmp_path).splitlines()[:60]
     rng = np.random.default_rng(17)
+    # the reader's block, drawn apart from the corruptions: from one line to twice the
+    # log, so blocks end on varied rows, and about half the logs are read as one block
+    blocks = np.random.default_rng(18).integers(1, 2 * len("\n".join(lines)), size=1500)
     errors = set()
-    for _ in range(1500):
+    for size in blocks.tolist():
+        monkeypatch.setattr(csv_log, "_BLOCK", size)
         rows = [line.split(",") for line in lines[1:]]
         # a few cells of one row, so a row often has several bad fields, then maybe another row
         for n_cells in (int(rng.integers(1, 4)), int(rng.integers(0, 2))):
@@ -1078,7 +1130,7 @@ def bad_row(ball, field, token):
 
 
 @pytest.mark.parametrize("field", BAD_CELLS)
-def test_first_bad_csv_line_is_reported_whichever_field(tmp_path, field):
+def test_first_bad_csv_line_is_reported_whichever_field(tmp_path, block, field):
     token, error = BAD_CELLS[field]
     # every other cell of the bad rows holds a token valid on an earlier row,
     # and the bad token recurs on the next line
@@ -1098,7 +1150,7 @@ def test_bad_token_after_the_same_token_in_another_field(tmp_path):
     assert diagnostic.message == "bad delivery row: '1' is not a valid ExtrasKind (at line 3)"
 
 
-def test_format_spellings_name_one_format(tmp_path):
+def test_format_spellings_name_one_format(tmp_path, block):
     rows = ["m1,odi,1,0,1,true,1,0,none,false", "m1, ODI ,1,0,2,true,0,0,none,false",
             "m1,Odi,2,0,1,true,4,0,none,false"]
     text = "\n".join([CSV_HEADER, *rows]) + "\n"
@@ -1174,7 +1226,7 @@ EDGE_LOGS = {
 
 
 @pytest.mark.parametrize("case", EDGE_LOGS)
-def test_csv_reader_agrees_with_the_reference_on_edge_logs(monkeypatch, case):
+def test_csv_reader_agrees_with_the_reference_on_edge_logs(monkeypatch, block, case):
     text = EDGE_LOGS[case]
     builders = record_builders(monkeypatch)
     got, want = read_both(text)
@@ -1185,7 +1237,7 @@ def test_csv_reader_agrees_with_the_reference_on_edge_logs(monkeypatch, case):
 
 
 @pytest.mark.parametrize("cell, spoiled", [("m1", b"m\xff"), ("none", b"n\xffne")])
-def test_log_that_is_not_utf8_is_refused_at_its_byte(tmp_path, cell, spoiled):
+def test_log_that_is_not_utf8_is_refused_at_its_byte(tmp_path, block, cell, spoiled):
     # the columnar reader decodes only match ids and tokens, at the first row of each
     raw = log(*ROWS).encode()
     at = raw.index(cell.encode(), raw.index(ROWS[2].encode()))
