@@ -244,23 +244,26 @@ class MatchRecord:
 
 @dataclass(frozen=True, eq=False)
 class InningsTrajectory:
-    """Cumulative (ball, runs, wickets) sampled at each legal ball.
+    """Cumulative (runs, wickets) at each legal ball: one point per completed ball, or
+    one for the all-illegal innings, whose ``completed_balls`` stays 0.  ``ball``
+    (1..len(runs), a new array on each read) and ``total`` are derived."""
 
-    ``ball`` runs 1..completed_balls except for the degenerate all-illegal
-    innings, which yields a single synthetic point at ball 1 while
-    ``completed_balls`` stays 0.
-    """
-
-    ball: np.ndarray
     runs: np.ndarray
     wickets: np.ndarray
-    total: int
     completed_balls: int
 
     def __post_init__(self):
-        freeze_columns(self, ball=None, runs=None, wickets=None)
+        freeze_columns(self, runs=None, wickets=None)
 
     __eq__ = value_eq
+
+    @property
+    def ball(self) -> np.ndarray:
+        return np.arange(1, self.runs.size + 1, dtype=np.int64)
+
+    @property
+    def total(self) -> int:
+        return int(self.runs[-1])
 
     @property
     def points(self) -> list[tuple[int, int, int]]:
@@ -411,12 +414,9 @@ def trajectory(innings: InningsRecord, format: MatchFormat) -> InningsTrajectory
     # the row each point is read at: every legal ball but the last, then the
     # last delivery, so the final point also carries any trailing illegal ones
     at = np.append(legal_rows[:-1], innings.kind.size - 1)
-    runs = np.cumsum(innings.batter_runs + innings.extras_runs)[at]
     return InningsTrajectory(
-        ball=np.arange(1, at.size + 1, dtype=np.int64),
-        runs=runs,
+        runs=np.cumsum(innings.batter_runs + innings.extras_runs)[at],
         wickets=np.cumsum(innings.wicket, dtype=np.int64)[at],
-        total=int(runs[-1]),
         completed_balls=n_legal,
     )
 

@@ -39,20 +39,24 @@ _MAX_BINS = 100_000  # far more than any totals histogram needs
 
 @dataclass(frozen=True, eq=False)
 class Histogram:
-    """Uniform-width histogram with left-closed right-open bins."""
+    """Uniform-width histogram of left-closed right-open bins from ``lowest_edge``."""
 
     bin_width: float
-    bin_lower_edges: np.ndarray
+    lowest_edge: float
     counts: np.ndarray
 
     def __post_init__(self):
-        freeze_columns(self, bin_lower_edges=None, counts=None)
+        freeze_columns(self, counts=None)
         if not 0 < self.bin_width < math.inf:
             raise ValueError("bin_width must be finite and above 0")
         if not np.all((self.counts >= 0) & (self.counts < math.inf)):
             raise ValueError("every count must be finite and at least 0")
 
     __eq__ = value_eq
+
+    @property
+    def bin_lower_edges(self) -> np.ndarray:
+        return self.lowest_edge + np.arange(self.counts.size, dtype=float) * self.bin_width
 
     @property
     def centers(self) -> np.ndarray:
@@ -123,11 +127,7 @@ def build_histogram(values: Sequence[int], bin_width: float) -> Histogram:
     idx = np.searchsorted(edges, vals, side="right") - 1
     idx = np.clip(idx, 0, n_bins - 1)
     counts = np.bincount(idx, minlength=n_bins)
-    return Histogram(
-        bin_width=float(bin_width),
-        bin_lower_edges=edges[:-1],
-        counts=counts.astype(np.int64),
-    )
+    return Histogram(bin_width=float(bin_width), lowest_edge=lowest, counts=counts.astype(np.int64))
 
 
 def normal_curve(

@@ -622,12 +622,12 @@ class TestRecordInvariants:
 ARRAY_RECORDS = {
     "InningsRecord": lambda value: innings_of(legal(0, 1, value), illegal(0, 2)),
     "InningsTrajectory": lambda value: InningsTrajectory(
-        np.array([1, 2]), np.array([value, 3]), np.array([0, 1]), total=3, completed_balls=2
+        np.array([value, 3]), np.array([0, 1]), completed_balls=2
     ),
     "WicketCurve": lambda value: WicketCurve(
         0, np.array([1, 2]), np.array([value, 3.0]), np.array([4, 4]), MatchFormat.ODI, 1
     ),
-    "Histogram": lambda value: Histogram(10.0, np.array([0.0, 10.0]), np.array([value, 2.0])),
+    "Histogram": lambda value: Histogram(10.0, 0.0, np.array([value, 2.0])),
     "ResourceTable": lambda value: ResourceTable(np.full((2, 11), float(value))),
 }
 
@@ -698,18 +698,19 @@ class TestTrajectory:
 
     def test_arrays_are_copies_of_the_callers_arrays(self):
         # the callers' own arrays were frozen in place
-        ball, runs, wickets = np.arange(1, 3), np.array([1, 2], dtype=np.int32), np.zeros(2)
-        traj = ball_log.InningsTrajectory(ball, runs, wickets, total=2, completed_balls=2)
+        runs, wickets = np.array([1, 2], dtype=np.int32), np.zeros(2)
+        traj = ball_log.InningsTrajectory(runs, wickets, completed_balls=2)
         runs[0] = 99
-        assert all(a.flags.writeable for a in (ball, runs, wickets))
+        assert all(a.flags.writeable for a in (runs, wickets))
         assert traj.runs.tolist() == [1, 2]
         assert (traj.runs.dtype, traj.wickets.dtype) == (np.int32, float)  # kept as given
-        with pytest.raises(ValueError, match="read-only"):
-            traj.ball[0] = 5
+        ball = traj.ball
+        ball[0] = 5  # a derived array is built on each read
+        assert traj.ball.tolist() == [1, 2]
 
     def test_arrays_of_unequal_length_rejected(self):
         with pytest.raises(ValueError, match="columns differ in length"):
-            ball_log.InningsTrajectory(np.arange(1, 3), np.array([1]), np.zeros(2), 1, 2)
+            ball_log.InningsTrajectory(np.array([1]), np.zeros(2), 1)
 
     def test_more_legal_balls_than_scheduled_rejected(self):
         inn = innings_of(*(legal(i // 6, i % 6 + 1) for i in range(121)))
@@ -811,10 +812,8 @@ def reference_trajectory(innings, format):
         )
     if n_legal == 0:
         return ball_log.InningsTrajectory(
-            ball=np.array([1], dtype=np.int64),
             runs=np.array([int(runs.sum())], dtype=np.int64),
             wickets=np.array([int(wkts.sum())], dtype=np.int64),
-            total=int(runs.sum()),
             completed_balls=0,
         )
     own_index = np.cumsum(legal)
@@ -823,13 +822,7 @@ def reference_trajectory(innings, format):
     per_ball_wkts = np.bincount(credit, weights=wkts, minlength=n_legal + 1)[1:]
     cum_runs = np.round(np.cumsum(per_ball_runs)).astype(np.int64)
     cum_wkts = np.round(np.cumsum(per_ball_wkts)).astype(np.int64)
-    return ball_log.InningsTrajectory(
-        ball=np.arange(1, n_legal + 1, dtype=np.int64),
-        runs=cum_runs,
-        wickets=cum_wkts,
-        total=int(cum_runs[-1]),
-        completed_balls=n_legal,
-    )
+    return ball_log.InningsTrajectory(runs=cum_runs, wickets=cum_wkts, completed_balls=n_legal)
 
 
 def trajectory_outcome(build, innings, format):

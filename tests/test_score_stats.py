@@ -27,11 +27,11 @@ from rainrule.score_stats import fit_summary
 
 
 def planted_histogram(xi, sigma, amplitude, lo, hi, width):
-    """Histogram whose counts lie exactly on the normal curve."""
-    edges = np.arange(lo, hi, width, dtype=float)
-    centers = edges + width / 2.0
-    counts = normal_curve(centers, xi, sigma, amplitude)
-    return Histogram(bin_width=float(width), bin_lower_edges=edges, counts=counts)
+    """Histogram of the bins from ``lo`` below ``hi`` whose counts lie exactly on the
+    normal curve at the centers the record derives."""
+    bins = Histogram(float(width), float(lo), np.zeros(len(np.arange(lo, hi, width))))
+    counts = normal_curve(bins.centers, xi, sigma, amplitude)
+    return Histogram(bin_width=float(width), lowest_edge=float(lo), counts=counts)
 
 
 class TestTotals:
@@ -63,31 +63,30 @@ class TestTotals:
 class TestHistogram:
     def test_arrays_are_copies_of_the_callers_arrays(self):
         # the caller's own arrays were frozen in place
-        edges, counts = np.arange(4.0), np.array([1.0, 2.0, 3.0, 4.0])
-        hist = Histogram(1.0, edges, counts)
+        counts = np.array([1.0, 2.0, 3.0, 4.0])
+        hist = Histogram(1.0, 0.0, counts)
         counts[0] = 5.0
-        assert edges.flags.writeable and counts.flags.writeable
+        assert counts.flags.writeable
         assert hist.counts.tolist() == [1.0, 2.0, 3.0, 4.0]
         assert hist.counts.dtype == float  # kept as given
         with pytest.raises(ValueError, match="read-only"):
             hist.counts[0] = 5.0
-
-    def test_edges_and_counts_of_unequal_length_rejected(self):
-        with pytest.raises(ValueError, match="columns differ in length"):
-            Histogram(1.0, np.arange(5.0), np.ones(4))
+        edges = hist.bin_lower_edges
+        edges[0] = 5.0  # a derived array is built on each read
+        assert hist.bin_lower_edges.tolist() == [0.0, 1.0, 2.0, 3.0]
 
     @pytest.mark.parametrize("width", [-10.0, 0.0, np.inf, np.nan])
     def test_bin_width_must_be_finite_and_above_0(self, width):
         # a width of -10 was fitted: xi=11.07, sigma=14.36
         with pytest.raises(ValueError, match="^bin_width must be finite and above 0$"):
-            Histogram(width, np.arange(0.0, 50.0, 10.0), np.array([1.0, 5, 2, 3, 1]))
+            Histogram(width, 0.0, np.array([1.0, 5, 2, 3, 1]))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
     def test_counts_must_be_finite_and_at_least_0(self, bad):
         # a NaN count raised a bare "cannot convert float NaN to integer" from
         # n_samples, and an infinite one an OverflowError
         with pytest.raises(ValueError, match="^every count must be finite and at least 0$"):
-            Histogram(10.0, np.arange(0.0, 50.0, 10.0), np.array([1.0, 5, bad, 3, 1]))
+            Histogram(10.0, 0.0, np.array([1.0, 5, bad, 3, 1]))
 
 
 class TestBuildHistogram:
@@ -163,11 +162,7 @@ class TestFitNormal:
         assert fit.rss < 1e-12
 
     def test_symmetric_histogram_centers_xi_on_shared_edge(self):
-        hist = Histogram(
-            bin_width=10.0,
-            bin_lower_edges=np.array([80.0, 90.0, 100.0, 110.0]),
-            counts=np.array([5.0, 20.0, 20.0, 5.0]),
-        )
+        hist = Histogram(bin_width=10.0, lowest_edge=80.0, counts=np.array([5.0, 20.0, 20.0, 5.0]))
         fit = fit_normal(hist)
         assert fit.xi == pytest.approx(100.0, abs=1e-8)
 
@@ -179,11 +174,7 @@ class TestFitNormal:
 
     def test_degenerate_sigma_rejected(self):
         # four bins 1e-12 apart start sigma far below the 1e-9 floor
-        hist = Histogram(
-            bin_width=1e-12,
-            bin_lower_edges=200.0 + 1e-12 * np.arange(4),
-            counts=np.array([1.0, 3.0, 3.0, 1.0]),
-        )
+        hist = Histogram(bin_width=1e-12, lowest_edge=200.0, counts=np.array([1.0, 3.0, 3.0, 1.0]))
         assert hist.n_samples == 8
         with pytest.raises(DegenerateFitError, match="sigma collapsed below 1e-09"):
             fit_normal(hist)
