@@ -137,7 +137,7 @@ def _first_bad_row(low: np.ndarray, high: np.ndarray, scarce: np.ndarray) -> Row
 def freeze_columns(record, **dtypes) -> None:
     """Set each named array field of a record to a read-only copy of its dtype (``None``
     keeps the given one), a value past int64 pinned to the nearer end, where a delivery
-    rule rejects it; unequal shapes raise ``ValueError``."""
+    rule rejects it; columns that are not 1-D, or differ in length, raise ``ValueError``."""
     for name, dtype in dtypes.items():
         values = getattr(record, name)
         try:
@@ -146,7 +146,9 @@ def freeze_columns(record, **dtypes) -> None:
             column = np.array([min(max(v, _I64.min), _I64.max) for v in values], dtype=dtype)
         column.setflags(write=False)
         object.__setattr__(record, name, column)
-    if len({getattr(record, name).shape for name in dtypes}) != 1:
+        if column.ndim != 1:
+            raise ValueError("columns must be 1-D")
+    if len({getattr(record, name).size for name in dtypes}) != 1:
         raise ValueError("columns differ in length")
 
 
@@ -254,6 +256,11 @@ class InningsTrajectory:
 
     def __post_init__(self):
         freeze_columns(self, runs=None, wickets=None)
+        points = self.runs.size
+        if not points:
+            raise ValueError("a trajectory needs at least one point")
+        if self.completed_balls != points and (points, self.completed_balls) != (1, 0):
+            raise ValueError("completed_balls must equal the number of points, or be 0 for one")
 
     __eq__ = value_eq
 

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .ball_log import MatchFormat, MatchRecord, freeze_columns, qualifying_trajectories, value_eq
+from .ball_log import MatchFormat, MatchRecord, qualifying_trajectories, value_eq
 from .errors import DegenerateFitError, IncompleteFamilyError, InsufficientDataError, ParseError
 from .leastsq import damped_gauss_newton
 from .run_curves import DEFAULT_MIN_SUPPORT, cell_means
@@ -51,14 +51,15 @@ class DLCurve:
     def __post_init__(self):
         if not 0 <= self.w <= 10:
             raise ValueError(f"w must be in [0, 10], got {self.w}")
-        if not self.z0 > 0:
-            raise ValueError(f"z0 must be positive, got {self.z0}")
-        if not self.decay > 0:
-            raise ValueError(f"decay must be positive, got {self.decay}")
+        if not 0 < self.z0 < np.inf:
+            raise ValueError(f"z0 must be finite and positive, got {self.z0}")
+        if not 0 < self.decay < np.inf:
+            raise ValueError(f"decay must be finite and positive, got {self.decay}")
 
     def value(self, u):
         """Mean runs still to come from u overs remaining."""
-        return self.z0 * (1.0 - np.exp(-self.decay * np.asarray(u, dtype=float)))
+        with np.errstate(over="ignore"):  # decay * u past float range gives the limit, z0
+            return self.z0 * (1.0 - np.exp(-self.decay * np.asarray(u, dtype=float)))
 
 
 @dataclass(frozen=True)
@@ -218,9 +219,13 @@ class ResourceTable:
     grid: np.ndarray = field(repr=False)  # [u, w]: u overs remaining, w wickets lost
 
     def __post_init__(self):
-        freeze_columns(self, grid=float)
-        if self.grid.ndim != 2 or self.grid.shape[0] < 1 or self.grid.shape[1] != 11:
-            raise ValueError(f"grid shape {self.grid.shape} is not (max_overs + 1, 11)")
+        grid = np.array(self.grid, dtype=float)
+        grid.setflags(write=False)
+        object.__setattr__(self, "grid", grid)
+        if grid.ndim != 2 or grid.shape[0] < 1 or grid.shape[1] != 11:
+            raise ValueError(f"grid shape {grid.shape} is not (max_overs + 1, 11)")
+        if not np.all((grid >= 0) & (grid <= 100)):
+            raise ValueError("every cell must be a percentage in [0, 100]")
 
     __eq__ = value_eq
 

@@ -60,7 +60,11 @@ class WicketCurve:
     def __post_init__(self):
         if not 0 <= self.wickets <= 10:
             raise ValueError("wickets must be in [0, 10]")
+        if self.innings_index not in (1, 2):
+            raise ValueError("innings_index must be 1 or 2")
         freeze_columns(self, balls=np.int64, means=float, support=np.int64)
+        if not np.all((self.balls >= 1) & (self.balls <= self.format.scheduled_balls)):
+            raise ValueError(f"every ball must be in 1..{self.format.scheduled_balls}")
         if np.any(np.diff(self.balls) <= 0):
             raise ValueError("duplicate or unordered ball values in curve")
         if not np.all(self.support >= 1):

@@ -51,6 +51,14 @@ class Histogram:
             raise ValueError("bin_width must be finite and above 0")
         if not np.all((self.counts >= 0) & (self.counts < math.inf)):
             raise ValueError("every count must be finite and at least 0")
+        with np.errstate(over="ignore"):  # a sum past float range is inf, refused here
+            if not self.counts.sum(dtype=float) < 2**53:
+                raise ValueError("the counts must sum to less than 2**53")
+        # the last center, as centers computes it: each edge and center lies between
+        width = float(self.bin_width)
+        last = float(self.lowest_edge) + max(self.counts.size - 1, 0) * width + 0.5 * width
+        if not math.isfinite(last):
+            raise ValueError("lowest_edge and every bin center must be finite")
 
     __eq__ = value_eq
 

@@ -617,6 +617,14 @@ class TestRecordInvariants:
         with pytest.raises(ValueError, match="columns differ in length"):
             InningsRecord(1, "X", *columns)
 
+    @pytest.mark.parametrize("shape", [(), (1, 3), (2, 2)])
+    def test_columns_must_be_1d(self, shape):
+        # 0-D columns were refused as "over must be >= 0", (1, 3) ones raised
+        # IndexError, and (2, 2) ones a numpy broadcast error
+        columns = [np.full(shape, value) for value in (0, 1, 0, 0, 0, False)]
+        with pytest.raises(ValueError, match="^columns must be 1-D$"):
+            InningsRecord(1, "X", *columns)
+
 
 # every record that holds arrays, built with one of its arrays holding ``value``
 ARRAY_RECORDS = {
@@ -711,6 +719,28 @@ class TestTrajectory:
     def test_arrays_of_unequal_length_rejected(self):
         with pytest.raises(ValueError, match="columns differ in length"):
             ball_log.InningsTrajectory(np.array([1]), np.zeros(2), 1)
+
+    def test_arrays_must_be_1d(self):
+        with pytest.raises(ValueError, match="^columns must be 1-D$"):
+            ball_log.InningsTrajectory(np.ones((2, 2), int), np.zeros((2, 2), int), 4)
+
+    def test_needs_a_point(self):
+        # with no point there is no total
+        with pytest.raises(ValueError, match="^a trajectory needs at least one point$"):
+            ball_log.InningsTrajectory(np.zeros(0, int), np.zeros(0, int), 0)
+
+    @pytest.mark.parametrize(
+        "runs, completed", [([3, 1], 99), ([3, 1], 0), ([3, 1], 1), ([3], 2), ([3], -1)]
+    )
+    def test_completed_balls_must_count_the_points(self, runs, completed):
+        # 99 completed balls over two points built, as did a total contradicting the runs
+        with pytest.raises(ValueError, match="^completed_balls must equal the number of points"):
+            ball_log.InningsTrajectory(np.array(runs), np.zeros(len(runs), int), completed)
+
+    @pytest.mark.parametrize("runs, completed", [([3, 5], 2), ([3], 1), ([3], 0)])
+    def test_completed_balls_count_the_points_or_are_0_for_one(self, runs, completed):
+        traj = ball_log.InningsTrajectory(np.array(runs), np.zeros(len(runs), int), completed)
+        assert (traj.completed_balls, traj.total) == (completed, runs[-1])
 
     def test_more_legal_balls_than_scheduled_rejected(self):
         inn = innings_of(*(legal(i // 6, i % 6 + 1) for i in range(121)))

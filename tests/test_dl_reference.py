@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -110,6 +112,22 @@ class TestFitDlCurve:
             DLCurve(w=0, z0=100.0, decay=0.0)
         with pytest.raises(ValueError):
             DLCurve(w=11, z0=100.0, decay=0.1)
+
+    @pytest.mark.parametrize("z0, decay, rule", [
+        (math.inf, 1.0, "z0"), (math.nan, 1.0, "z0"),
+        (10.0, math.inf, "decay"), (10.0, math.nan, "decay"),
+    ])
+    def test_z0_and_decay_must_be_finite(self, z0, decay, rule):
+        # an infinite decay built, and value(0) then warned "invalid value in multiply"
+        with pytest.raises(ValueError, match=f"^{rule} must be finite and positive, got"):
+            DLCurve(0, z0, decay)
+
+    def test_a_decay_too_steep_for_float_reaches_z0(self):
+        # decay * u past the largest float warned "overflow encountered in multiply"
+        curve = DLCurve(0, 1.0, 1e308)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert curve.value(np.arange(3.0)).tolist() == [0.0, 1.0, 1.0]
 
 
 class TestRemainingRunMeans:
@@ -249,6 +267,15 @@ class TestResourceTable:
         assert (table.percentage(1, 0), table.grid.dtype) == (0.0, float)
         with pytest.raises(ValueError, match="read-only"):
             table.grid[1, 0] = 100.0
+
+    @pytest.mark.parametrize("cell", [math.nan, math.inf, -5.0, -1e-9, 100.5])
+    def test_cells_must_be_percentages(self, cell):
+        # a NaN grid and a -5.0 grid built, and percentage returned their cells
+        grid = np.zeros((2, 11))
+        grid[1, 3] = cell
+        with pytest.raises(ValueError, match=r"^every cell must be a percentage in \[0, 100\]$"):
+            ResourceTable(grid)
+        assert ResourceTable(np.full((2, 11), 100.0)).percentage(1, 3) == 100.0
 
     def test_out_of_range_lookup(self, odi_table):
         with pytest.raises(ValueError):

@@ -6,7 +6,10 @@
 * ``ingest``, ``stats`` and ``curves`` exit with 0, 2, 3 or 4, never with a
   traceback;
 * ``target`` and ``compare --dl-table`` exit with 0, 2, 3 or 4, and print
-  strict JSON (no ``NaN`` or ``Infinity``) when they succeed.
+  strict JSON (no ``NaN`` or ``Infinity``) when they succeed;
+* each record that holds arrays, and ``DLCurve``, either refuses its input
+  with ``ValueError`` or builds a record that keeps README's rules for it,
+  whose derived values read without an error or a warning.
 
 The malformed documents are ``tiny_odi.json``, or a scenario, fits or
 resource-table file, with one node (or one CSV cell) replaced by an
@@ -19,19 +22,29 @@ import contextlib
 import copy
 import io
 import json
+import warnings
 
+import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
 
 from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
+from hypothesis.extra import numpy as hnp  # noqa: E402
 
 from rainrule import (  # noqa: E402
     CSV_HEADER,
+    DLCurve,
+    ExtrasKind,
+    Histogram,
+    InningsRecord,
+    InningsTrajectory,
     MatchFormat,
     MatchRecord,
     RainRuleError,
+    ResourceTable,
+    WicketCurve,
     fit_dl_family,
     load_corpus,
     parse_match,
@@ -257,3 +270,197 @@ def test_decision_commands_exit_with_a_documented_code(decision_dir, files, comm
     assert code in (0, 2, 3, 4)
     if code == 0:
         strict_json(out.getvalue())
+
+
+# ---------------------------------------------------------------------------
+# the records
+
+I64 = np.iinfo(np.int64)
+# shapes of 0, 1 and 2 dimensions, empty ones too, mostly 1-D
+ROWS = hnp.array_shapes(min_dims=1, max_dims=1, min_side=0, max_side=4)
+SHAPES = ROWS | ROWS | hnp.array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=4)
+SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -1.0, 100.0, 1e308, -1e308, np.inf, -np.inf, np.nan]
+FLOATS = st.floats(-1e3, 1e3) | st.sampled_from(SPECIAL_FLOATS) | st.floats()
+
+
+def ints(lo: int, hi: int, *outside: int):
+    """int64 values: mostly from ``lo`` to ``hi``, else one of ``outside`` (the values
+    just past each bound), the least or the most int64, or anywhere in int64."""
+    inside = st.integers(lo, hi)
+    edges = st.sampled_from([*outside, I64.min, I64.max])
+    return st.one_of(inside, inside, inside, edges, st.integers(I64.min, I64.max))
+
+
+@st.composite
+def columns(draw, specs: dict[str, tuple]) -> dict[str, np.ndarray]:
+    """An array for each name of ``specs``, of its (dtype, elements): all of one shape
+    but for at most one column, which draws a shape of its own."""
+    shape, odd = draw(SHAPES), draw(st.sampled_from([None] * len(specs) + list(specs)))
+    return {
+        name: draw(hnp.arrays(dtype, draw(SHAPES) if name == odd else shape, elements=values))
+        for name, (dtype, values) in specs.items()
+    }
+
+
+def built(build, *args, **kwargs):
+    """What ``build`` returns, or ``None`` where it raises ``ValueError``; any other
+    error, and any warning, fails the test."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            return build(*args, **kwargs)
+        except ValueError:
+            return None
+
+
+def derived(record, *names) -> list:
+    """Each named property of ``record``, once it compares equal to itself and has a
+    repr, all with no warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert record == record
+        repr(record)
+        return [getattr(record, name) for name in names]
+
+
+def one_length(*arrays) -> int:
+    assert all(a.ndim == 1 for a in arrays) and len({a.size for a in arrays}) == 1
+    return arrays[0].size
+
+
+INDICES = ints(1, 2, 0, 3)
+INNINGS_COLUMNS = {
+    "over": (np.int64, ints(0, 1, -1, I64.max - 1)),
+    "ball_in_over": (np.int64, ints(1, 3, 0, I64.max - 1)),
+    "batter_runs": (np.int64, ints(0, 6, -1, 100, 101)),
+    "extras_runs": (np.int64, ints(0, 2, -1, 100, 101)),
+    "kind": (np.int64, ints(0, len(ExtrasKind) - 1, -1, len(ExtrasKind))),
+    "wicket": (bool, st.booleans()),
+}
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(index=INDICES, cols=columns(INNINGS_COLUMNS))
+@example(index=1, cols={"over": np.array([0, 0]), "ball_in_over": np.array([1, 2]),
+                        "batter_runs": np.array([4, 0]), "extras_runs": np.array([0, 1]),
+                        "kind": np.array([0, ExtrasKind.WIDE.code]),
+                        "wicket": np.array([False, True])})
+def test_an_innings_record_keeps_its_rules_or_refuses(index, cols):
+    inn = built(InningsRecord, index, "X", **cols)
+    if inn is None:
+        return
+    legal, deliveries = derived(inn, "legal", "deliveries")
+    over, ball_in_over, runs, extras, kind = (inn.over, inn.ball_in_over, inn.batter_runs,
+                                              inn.extras_runs, inn.kind)
+    assert len(deliveries) == one_length(over, ball_in_over, runs, extras, kind, inn.wicket)
+    assert index in (1, 2) and inn.wicket.dtype == bool
+    assert all(c.dtype == np.int64 for c in (over, ball_in_over, runs, extras, kind))
+    assert (over >= 0).all() and (ball_in_over >= 1).all()
+    assert ((runs <= 100) & (extras <= 100) & (runs >= 0) & (extras >= 0)).all()
+    assert ((kind >= 0) & (kind < len(ExtrasKind))).all() and (extras[~legal] >= 1).all()
+    order = list(zip(over.tolist(), ball_in_over.tolist()))
+    assert order == sorted(order) and inn.wicket.sum() <= 10
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(
+    cols=columns({"runs": (np.int64, ints(0, 300, -1)), "wickets": (np.int64, ints(0, 10, 11))}),
+    completed=ints(0, 4, -1, 5),
+)
+@example(cols={"runs": np.array([1, 3]), "wickets": np.array([0, 1])}, completed=2)
+@example(cols={"runs": np.array([2]), "wickets": np.array([0])}, completed=0)
+def test_a_trajectory_keeps_its_rules_or_refuses(cols, completed):
+    traj = built(InningsTrajectory, completed_balls=completed, **cols)
+    if traj is None:
+        return
+    ball, total, points = derived(traj, "ball", "total", "points")
+    n = one_length(traj.runs, traj.wickets)
+    assert n >= 1 and (completed == n or (n, completed) == (1, 0))
+    assert ball.tolist() == list(range(1, n + 1)) and ball.dtype == np.int64
+    assert total == traj.runs[-1] and len(points) == n
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(
+    wickets=ints(0, 10, -1, 11),
+    cols=columns({"balls": (np.int64, ints(1, 300, 0, 120, 121, 301)), "means": (float, FLOATS),
+                  "support": (np.int64, ints(1, 5, 0))}),
+    format=st.sampled_from(MatchFormat),
+    index=INDICES,
+)
+@example(wickets=3, cols={"balls": np.array([1, 300]), "means": np.array([0.5, 250.0]),
+                          "support": np.array([1, 4])}, format=MatchFormat.ODI, index=2)
+def test_a_wicket_curve_keeps_its_rules_or_refuses(wickets, cols, format, index):
+    curve = built(WicketCurve, wickets, format=format, innings_index=index, **cols)
+    if curve is None:
+        return
+    derived(curve)
+    balls = curve.balls
+    assert len(curve) == one_length(balls, curve.means, curve.support)
+    assert 0 <= wickets <= 10 and index in (1, 2)
+    assert ((balls >= 1) & (balls <= format.scheduled_balls)).all() and (np.diff(balls) > 0).all()
+    assert (curve.support >= 1).all() and np.isfinite(curve.means).all()
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(
+    width=FLOATS,
+    lowest=FLOATS,
+    counts=hnp.arrays(float, SHAPES, elements=FLOATS)
+    | hnp.arrays(np.int64, SHAPES, elements=ints(0, 5, -1)),
+)
+@example(width=10.0, lowest=-20.0, counts=np.array([1, 0, 2]))
+@example(width=0.5, lowest=80.0, counts=np.array([0.5, 2.25]))
+def test_a_histogram_keeps_its_rules_or_refuses(width, lowest, counts):
+    hist = built(Histogram, width, lowest, counts)
+    if hist is None:
+        return
+    edges, centers, n_samples = derived(hist, "bin_lower_edges", "centers", "n_samples")
+    assert one_length(hist.counts, edges, centers) == counts.size
+    assert 0 < width < np.inf and np.isfinite(lowest)
+    assert np.isfinite(hist.counts).all() and (hist.counts >= 0).all()
+    assert np.isfinite(centers).all() and edges[:1].tolist() in ([], [lowest])
+    assert n_samples >= 0
+
+
+TABLE_SHAPES = st.tuples(st.integers(0, 3), st.sampled_from([10, 11, 11, 11, 12]))
+
+
+@st.composite
+def grids(draw) -> np.ndarray:
+    """Percentages in a grid of about the table's shape or of any shape, at most one
+    cell replaced by any float."""
+    shape = draw(st.one_of(TABLE_SHAPES, TABLE_SHAPES, SHAPES))
+    grid = draw(hnp.arrays(float, shape, elements=st.floats(0.0, 100.0)))
+    if grid.size and draw(st.booleans()):
+        grid.flat[draw(st.integers(0, grid.size - 1))] = draw(FLOATS | st.floats(-1.0, 101.0))
+    return grid
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(grid=grids())
+@example(grid=np.linspace(0.0, 100.0, 22).reshape(2, 11))
+def test_a_resource_table_keeps_its_rules_or_refuses(grid):
+    table = built(ResourceTable, grid)
+    if table is None:
+        return
+    (max_overs,) = derived(table, "max_overs")
+    assert grid.shape == (max_overs + 1, 11)
+    cells = [[table.percentage(u, w) for w in range(11)] for u in range(max_overs + 1)]
+    assert np.array_equal(cells, grid) and 0 <= grid.min() and grid.max() <= 100
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(w=ints(0, 10, -1, 11), z0=FLOATS, decay=FLOATS, rss=FLOATS)
+@example(w=0, z0=280.0, decay=0.035, rss=0.0)
+def test_a_dl_curve_keeps_its_rules_or_refuses(w, z0, decay, rss):
+    curve = built(DLCurve, w, z0, decay, rss)
+    if curve is None:
+        return
+    derived(curve)
+    assert 0 <= w <= 10 and 0 < z0 < np.inf and 0 < decay < np.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = curve.value(np.arange(MatchFormat.ODI.scheduled_overs + 1))
+        assert curve.value(0) == 0.0
+    assert ((values >= 0) & (values <= z0)).all()

@@ -136,6 +136,29 @@ class TestWicketCurve:
         with pytest.raises(ValueError, match="^every support must be at least 1$"):
             planted_curve(0.0, 1.0, 0.5, range(1, 11), support=[-1] * 10)
 
+    def test_columns_must_be_1d(self):
+        # 2-D columns built, and len() gave their number of rows
+        ones = np.ones((2, 2))
+        with pytest.raises(ValueError, match="^columns must be 1-D$"):
+            WicketCurve(0, ones.astype(int), ones, ones.astype(int), MatchFormat.ODI, 1)
+
+    @pytest.mark.parametrize(
+        "format, ball", [(MatchFormat.ODI, 0), (MatchFormat.ODI, 301), (MatchFormat.ODI, 900),
+                         (MatchFormat.T20I, 121), (MatchFormat.IPL, -5)]
+    )
+    def test_balls_must_lie_in_the_schedule(self, format, ball):
+        # ball 0, and ball 900 of an ODI, built
+        balls = np.sort([ball, 60])
+        with pytest.raises(ValueError, match=f"^every ball must be in 1..{format.scheduled_balls}$"):
+            WicketCurve(0, balls, np.ones(2), np.ones(2, int), format, 1)
+        assert len(WicketCurve(0, [1, format.scheduled_balls], [1.0, 2.0], [1, 1], format, 2)) == 2
+
+    @pytest.mark.parametrize("index", [0, 3, 5])
+    def test_innings_index_must_be_1_or_2(self, index):
+        # innings_index=5 built
+        with pytest.raises(ValueError, match="^innings_index must be 1 or 2$"):
+            WicketCurve(0, np.arange(1, 3), np.ones(2), np.ones(2, int), MatchFormat.ODI, index)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_means_must_be_finite(self, bad):
         # a NaN mean was reported as non-finite coefficients from the normal equations

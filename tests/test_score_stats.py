@@ -89,6 +89,35 @@ class TestHistogram:
             Histogram(10.0, 0.0, np.array([1.0, 5, bad, 3, 1]))
 
 
+    def test_counts_must_be_1d(self):
+        # Histogram(1.0, np.zeros((2, 2)), np.zeros((2, 2))) built
+        with pytest.raises(ValueError, match="^columns must be 1-D$"):
+            Histogram(1.0, 0.0, np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("lowest", [np.nan, np.inf, -np.inf])
+    def test_lowest_edge_must_be_finite(self, lowest):
+        with pytest.raises(ValueError, match="^lowest_edge and every bin center must be finite$"):
+            Histogram(10.0, lowest, np.ones(3))
+
+    def test_every_center_must_be_finite(self):
+        # the second bin from 1e308 starts past the largest float
+        with pytest.raises(ValueError, match="^lowest_edge and every bin center must be finite$"):
+            Histogram(1e308, 1e308, np.ones(2))
+        hist = Histogram(1e308, -1e308, np.ones(2))
+        assert hist.bin_lower_edges.tolist() == [-1e308, 0.0]
+        assert np.isfinite(hist.centers).all()
+
+    @pytest.mark.parametrize(
+        "counts", [np.array([1e308, 1e308]), np.array([2**62, 2**62], dtype=np.int64),
+                   np.array([2.0**53])]
+    )
+    def test_counts_must_sum_below_2_to_the_53(self, counts):
+        # float counts overflowed n_samples, and int64 ones wrapped it below 0
+        with pytest.raises(ValueError, match=r"^the counts must sum to less than 2\*\*53$"):
+            Histogram(1.0, 0.0, counts)
+        assert Histogram(1.0, 0.0, np.array([2.0**52, 2.0**52 - 1])).n_samples == 2**53 - 1
+
+
 class TestBuildHistogram:
     def test_mass_conserved(self, small_odi):
         values = totals(small_odi, MatchFormat.ODI, 1)
