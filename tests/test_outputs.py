@@ -25,6 +25,7 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from rainrule.cli import main
 from rainrule.fixtures import fixture_path
@@ -59,30 +60,35 @@ def versions() -> dict[str, str]:
     return {"python": platform.python_version(), "numpy": np.__version__}
 
 
+def run_from(root: Path, commands) -> dict[str, str | int]:
+    """Each command's exit code and stdout and stderr digests, run from ``root`` beside
+    copies of the inputs, then the digest of every file left there but the inputs."""
+    found: dict[str, str | int] = {}
+    for name in _INPUTS:
+        shutil.copyfile(fixture_path(name), root / name)
+    start = os.getcwd()
+    os.chdir(root)
+    try:
+        for command in commands:
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = main(command.split())
+            found[f"{command}: exit"] = code
+            found[f"{command}: stdout"] = _digest(stdout.getvalue().encode())
+            found[f"{command}: stderr"] = _digest(stderr.getvalue().encode())
+    finally:
+        os.chdir(start)
+    for path in sorted(root.rglob("*")):
+        if path.is_file() and path.name not in _INPUTS:
+            found[f"file {path.relative_to(root).as_posix()}"] = _digest(path.read_bytes())
+    return found
+
+
 def outputs() -> dict[str, str | int]:
     """Each command's exit code and stdout and stderr digests, then every file's digest."""
-    found: dict[str, str | int] = {}
-    start = os.getcwd()
     with tempfile.TemporaryDirectory() as work:
-        root = Path(work)
-        for name in _INPUTS:
-            shutil.copyfile(fixture_path(name), root / name)
-        (root / "log").mkdir()  # export_csv writes into an existing directory
-        os.chdir(root)
-        try:
-            for command in COMMANDS:
-                stdout, stderr = io.StringIO(), io.StringIO()
-                with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-                    code = main(command.split())
-                found[f"{command}: exit"] = code
-                found[f"{command}: stdout"] = _digest(stdout.getvalue().encode())
-                found[f"{command}: stderr"] = _digest(stderr.getvalue().encode())
-        finally:
-            os.chdir(start)
-        for path in sorted(root.rglob("*")):
-            if path.is_file() and path.name not in _INPUTS:
-                found[f"file {path.relative_to(root).as_posix()}"] = _digest(path.read_bytes())
-    return found
+        (Path(work) / "log").mkdir()  # export_csv writes into an existing directory
+        return run_from(Path(work), COMMANDS)
 
 
 def test_outputs_match_the_manifest():
@@ -94,6 +100,50 @@ def test_outputs_match_the_manifest():
         f"{len(moved)} outputs differ from the manifest made with {made}, here {now}:\n"
         + "\n".join(moved)
     )
+
+
+def _gaps(log: bytes) -> bytes:
+    """``log`` with a blank and a whitespace-only line in its middle, and no final newline."""
+    lines = log.split(b"\n")[:-1]
+    middle = len(lines) // 2
+    return b"\n".join(lines[:middle] + [b"", b" \t"] + lines[middle:])
+
+
+# every line layout the CSV reader reads as the exported log
+LAYOUTS = {
+    "crlf": lambda log: log.replace(b"\n", b"\r\n"),
+    "cr": lambda log: log.replace(b"\n", b"\r"),
+    "gaps": _gaps,
+}
+LOG_COMMANDS = (
+    "stats --data-dir log --out out/stats",
+    "curves --data-dir log --format ipl --innings 2 --degree 2 --out out/curves_ipl2",
+    f"compare --data-dir log {_REVISE} --out out/compare",
+)
+
+
+@pytest.fixture(scope="module")
+def exported_log(tmp_path_factory) -> tuple[bytes, dict[str, str | int]]:
+    """The ``--fixture`` corpus's exported log, and what the commands make of it."""
+    root = tmp_path_factory.mktemp("lf")
+    (root / "log").mkdir()
+    run_from(root, ["ingest --fixture --export-csv log/balls.csv"])
+    found = run_from(root, LOG_COMMANDS)
+    del found["file log/balls.csv"]
+    return (root / "log" / "balls.csv").read_bytes(), found
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+def test_every_csv_layout_writes_the_exported_logs_files(exported_log, tmp_path, layout):
+    log, expected = exported_log
+    relaid = LAYOUTS[layout](log)
+    assert relaid != log
+    (tmp_path / "log").mkdir()
+    (tmp_path / "log" / "balls.csv").write_bytes(relaid)
+    found = run_from(tmp_path, LOG_COMMANDS)
+    del found["file log/balls.csv"]
+    assert found == expected
+    assert any(key.startswith("file out/compare/") for key in found)
 
 
 if __name__ == "__main__":
