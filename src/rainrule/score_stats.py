@@ -54,7 +54,7 @@ class Histogram:
         with np.errstate(over="ignore"):  # a sum past float range is inf, refused here
             if not self.counts.sum(dtype=float) < 2**53:
                 raise ValueError("the counts must sum to less than 2**53")
-        # the last center, as centers computes it: each edge and center lies between
+        # every edge and center lies from lowest_edge to the last center, computed as centers does
         width = float(self.bin_width)
         last = float(self.lowest_edge) + max(self.counts.size - 1, 0) * width + 0.5 * width
         if not math.isfinite(last):
