@@ -83,55 +83,47 @@ def read_log(data: bytes | str) -> list[MatchRecord]:
     if not raw.isascii():  # a log that is not UTF-8 is refused at its first bad byte, first
         decode(data)
         breaks += _OTHER_BREAKS
-    lines, error = range(2, len(raw) + 2), None  # row r is at lines[r]
-    canonical = raw.startswith(_CSV_HEAD) and not any(c in raw for c in breaks)
-    read = _read_blocks(raw, lines) if canonical else None
-    if read is None:  # other line breaks, blank lines, no final newline or a short line
-        raw, lines, error = _rows(decode(data))
-        read = _read_blocks(raw, lines)
-    if error:
-        raise error
-    columns, runs, formats = read
+    columns, runs, formats = _read_blocks(raw, breaks)
 
     # an innings is the runs of rows under one match id and innings index
     by_match = {mid: (code, {}) for mid, code in formats.items()}
     n = columns[0].size
-    for (a, mid, idx, at), b in zip(runs, [run[0] for run in runs[1:]] + [n]):
-        by_match[mid][1].setdefault(idx, []).append((slice(a, b), at))
+    for (a, mid, idx), b in zip(runs, [run[0] for run in runs[1:]] + [n]):
+        by_match[mid][1].setdefault(idx, []).append(slice(a, b))
     records = []
     for mid, (code, by_index) in by_match.items():
         innings = []
         for idx, pieces in by_index.items():
-            rows = pieces[0][0] if len(pieces) == 1 else np.r_[tuple(s for s, _ in pieces)]
+            rows = pieces[0] if len(pieces) == 1 else np.r_[tuple(pieces)]
             try:
                 innings.append(InningsRecord._adopt(idx, "", *(column[rows] for column in columns)))
             except RowError as e:
-                row = np.arange(n)[rows][e.row]
-                raise ParseError(f"bad delivery row: {e}", position=f"line {lines[row]}") from e
+                line = _line(raw, int(np.arange(n)[rows][e.row]))
+                raise ParseError(f"bad delivery row: {e}", position=f"line {line}") from e
             except ValueError as e:
-                at = pieces[0][1]  # the innings index as written, past int64 too
-                idx = int(_text(raw[at:raw.index(b"\n", at)]).split(",")[2])
                 raise ParseError(f"bad innings {idx} of match {mid!r}: {e}") from e
         innings.sort(key=lambda inn: inn.innings_index)
         records.append(MatchRecord(mid, _FORMATS[code], _CSV_EPOCH, ("", ""), "", innings))
     return records
 
 
-def _read_blocks(raw: bytes, lines):
-    """The record columns of a log that is the header, then lines of 10 fields, each
-    ended by one newline, read a block of whole lines at a time; its runs of rows under
-    one match id and innings index, each as (first row, match id, innings index, offset
-    of its line); and each match id's format code, in order of first appearance.
-    ``None`` if the lines are not of that layout.  Raises the first conflicting format
-    before the first bad row, else the first bad row."""
+def _read_blocks(raw: bytes, breaks: tuple[bytes, ...]):
+    """The record columns of a log's rows, read a block of whole lines at a time; its runs
+    of rows under one match id and innings index, each as (first row, match id, innings
+    index as written); and each match id's format code, in order of first appearance.  A
+    block of lines of 10 fields, each ended by one newline, is parsed where it lies; any
+    other, and a first block not starting with the exact header line, is laid out by
+    :func:`_rows` first.  Raises at the first bad row or conflicting format."""
     buf = np.frombuffer(raw, np.uint8)
-    n = raw.count(b"\n") - 1  # the rows, if every line is one
+    n = raw.count(b"\n")  # the rows at most, unless lines end at other breaks too
     columns = [np.empty(n, np.int64) for _ in _RECORD_FIELDS[:-1]] + [np.empty(n, bool)]
-    runs, formats = [], {}
-    r, last = 0, (0, 0, 0)  # the rows read; the match id (begin, end) and index of the last
+    runs, formats, r = [], {}, 0  # r: the rows read
 
-    def read(at, to):  # the lines of buf[at:to] into the columns, or False if not of the layout
-        nonlocal r, last
+    def fail(message, row):
+        return ParseError(message, position=f"line {_line(raw, row)}")
+
+    def read(buf, at, to):  # buf[at:to]'s lines into the columns, or False if not of the layout
+        nonlocal r, columns
         sep = _separators(buf, at, to)
         if sep is None:
             return False
@@ -139,11 +131,8 @@ def _read_blocks(raw: bytes, lines):
         def field(k):  # (begin, end) of field k of each row of the block
             return sep[k:-1:10] + 1, sep[k + 1::10]
 
-        def fail(message, i):
-            return ParseError(message, position=f"line {lines[r + i]}")
-
         def cells(i):
-            return _text(raw[sep[10 * i] + 1:sep[10 * i + 10]]).split(",")
+            return _text(buf[sep[10 * i] + 1:sep[10 * i + 10]]).split(",")
 
         values, bad = {}, []  # field -> its values in the block; the first bad row of each
         for k, convert in _READ_ORDER:
@@ -155,25 +144,23 @@ def _read_blocks(raw: bytes, lines):
         stop = min(bad, default=sep.size // 10)  # the rows end at the first bad one
 
         # a row starts a run where its match id or innings index differs from the row
-        # before's, read at its own offsets in the log, across the blocks
+        # before's; the block's first row, where they differ from the last run's
         begin, end = (position[:stop] for position in field(0))
         index, fmt = values[2][:stop], values[1][:stop]
-        new_run = _changes(buf, np.append(last[0], begin), np.append(last[1], end))
-        new_run |= np.append(last[2], index)[:-1] != index
-        new_run[:1] |= not r  # the first row starts the first run
-        firsts = np.flatnonzero(new_run)
+        new_run = np.append(True, _changes(buf, begin, end) | (index[1:] != index[:-1]))[:stop]
         # the format of each row's match: the run the block goes on with, then each new one
         codes = [formats[runs[-1][1]] if runs else -1]
-        for first, b, e, idx, code in zip(firsts.tolist(), begin[firsts].tolist(),
-                                          end[firsts].tolist(), index[firsts].tolist(),
-                                          fmt[firsts].tolist()):
-            mid = _text(raw[b:e])
-            codes.append(formats.setdefault(mid, code))
-            runs.append((r + first, mid, idx, sep[10 * first] + 1))
+        for first in np.flatnonzero(new_run).tolist():
+            mid, _, idx = cells(first)[:3]
+            if first or not runs or runs[-1][1:] != (mid, int(idx)):
+                codes.append(formats.setdefault(mid, int(fmt[first])))
+                runs.append((r + first, mid, int(idx)))
+            else:  # the block goes on with the last run
+                new_run[0] = False
         conflicts = np.flatnonzero(fmt != np.int8(codes)[np.cumsum(new_run)])
         if conflicts.size:
             c = int(conflicts[0])
-            raise fail(f"conflicting formats for match {cells(c)[0]!r}", c)
+            raise fail(f"conflicting formats for match {cells(c)[0]!r}", r + c)
         if bad:
             row = cells(stop)
             try:
@@ -181,19 +168,24 @@ def _read_blocks(raw: bytes, lines):
                     convert(row[k])
                 raise ValueError("legal flag inconsistent with extras kind")
             except (UnsupportedFormatError, ValueError) as e:
-                raise fail(f"bad delivery row: {e}", stop) from e
+                raise fail(f"bad delivery row: {e}", r + stop) from e
+        if r + stop > columns[0].size:  # more rows than newlines, so other breaks
+            columns = [np.resize(c, max(r + stop, 2 * c.size)) for c in columns]
         for column, k in zip(columns, _RECORD_FIELDS):
             column[r:r + stop] = values[k]
-        r, last = r + stop, (begin[-1], end[-1], index[-1])
+        r += stop
         return True
 
-    at = len(_CSV_HEAD)
-    while at < len(raw):
+    at = len(_CSV_HEAD) if raw.startswith(_CSV_HEAD) else 0
+    while at < len(raw) or not at:  # a first block that holds the header goes through _rows
         to = raw.find(b"\n", at + _BLOCK - 1) + 1 or len(raw)
-        if not read(at, to):
-            return None
+        if not at or any(raw.find(c, at, to) >= 0 for c in breaks) or not read(buf, at, to):
+            laid, fields = _rows(_text(raw[at:to]), header=not at)
+            read(np.frombuffer(laid, np.uint8), len(_CSV_HEAD), len(laid))
+            if fields:
+                raise fail(f"expected 10 fields, found {fields}", r)
         at = to
-    return columns, runs, formats
+    return [column[:r] for column in columns], runs, formats
 
 
 def _separators(buf: np.ndarray, at: int, to: int) -> np.ndarray | None:
@@ -207,23 +199,29 @@ def _separators(buf: np.ndarray, at: int, to: int) -> np.ndarray | None:
     return np.append(at - 1, sep + at)
 
 
-def _rows(text: str) -> tuple[bytes, list[int], ParseError | None]:
-    """The header and each line that is not blank, up to the first of other than 10
-    fields, one per line; the line number of each row; and that first line's error."""
+def _rows(text: str, header: bool) -> tuple[bytes, int | None]:
+    """The header, then each line of ``text`` that is not blank, up to the first of other
+    than 10 fields, one per line (so every field has 8 bytes before its end); and that
+    first line's field count.  If ``header``, the first line is checked as the header."""
     lines = text.splitlines()
-    if not lines or lines[0].strip() != CSV_HEADER:
+    if header and (not lines or lines[0].strip() != CSV_HEADER):
         raise ParseError("CSV header does not match the canonical ball log", position="line 1")
-    rows, numbers, error = [CSV_HEADER], [], None
-    for number, line in enumerate(lines[1:], start=2):
+    rows, fields = [CSV_HEADER], None
+    for line in lines[header:]:
         if not line.strip():
             continue
         if line.count(",") != 9:
-            found = line.count(",") + 1
-            error = ParseError(f"expected 10 fields, found {found}", position=f"line {number}")
+            fields = line.count(",") + 1
             break
         rows.append(line)
-        numbers.append(number)
-    return ("\n".join(rows) + "\n").encode("utf-8", "surrogatepass"), numbers, error
+    return ("\n".join(rows) + "\n").encode("utf-8", "surrogatepass"), fields
+
+
+def _line(raw: bytes, row: int) -> int:
+    """The line number of row ``row`` of a log, or of the line after its last row: its
+    non-blank line after the header, counted as ``str.splitlines`` counts lines."""
+    lines = _text(raw).splitlines()
+    return [number for number, line in enumerate(lines[1:], start=2) if line.strip()][row]
 
 
 def _text(field) -> str:

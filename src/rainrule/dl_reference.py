@@ -18,7 +18,10 @@ from pathlib import Path
 import numpy as np
 
 from .ball_log import MatchFormat, MatchRecord, qualifying_trajectories, value_eq
-from .errors import DegenerateFitError, IncompleteFamilyError, InsufficientDataError, ParseError
+from .errors import (
+    DegenerateCurveError, DegenerateFitError, IncompleteFamilyError, InsufficientDataError,
+    ParseError,
+)
 from .leastsq import damped_gauss_newton
 from .run_curves import DEFAULT_MIN_SUPPORT, cell_means
 
@@ -248,7 +251,8 @@ def resource_table(family: Sequence[DLCurve], max_overs: int) -> ResourceTable:
     percentage(u, w) = 100 * Z(u, w) / Z(max_overs, 0).  Wicket states
     without a curve borrow the nearest fitted state below them, and every
     cell is clamped to the cell one wicket earlier so the table is
-    non-increasing in w even when fitted decay rates cross.
+    non-increasing in w even when fitted decay rates cross.  A w=0 curve whose full
+    resources Z(max_overs, 0) are not positive raises :class:`DegenerateCurveError`.
     """
     if max_overs <= 0:
         raise ValueError(f"max_overs must be positive, got {max_overs}")
@@ -256,6 +260,8 @@ def resource_table(family: Sequence[DLCurve], max_overs: int) -> ResourceTable:
     if 0 not in by_w:
         raise IncompleteFamilyError("resource table requires the w=0 curve")
     scale = float(by_w[0].value(max_overs))
+    if not 0 < scale < np.inf:
+        raise DegenerateCurveError(f"full resources Z({max_overs}, 0) = {scale!r} are not positive")
     overs = np.arange(max_overs + 1, dtype=float)
     grid = np.zeros((max_overs + 1, 11))
     curve = by_w[0]

@@ -36,6 +36,7 @@ from rainrule import (
 )
 from rainrule import ball_log, cricsheet, csv_log, fixtures
 from rainrule.fixtures import fixture_path, synthetic_corpus, write_corpus
+from test_outputs import LAYOUTS as RELAID_LOGS
 
 
 def legal(over, ball, batter=0, extras=0, kind=ExtrasKind.NONE, wicket=False):
@@ -1088,15 +1089,46 @@ def read_log_excess(raw):
     return peak - kept
 
 
+# the exported log as it is written, and relaid so that blocks are laid out before they
+# are parsed (a CR-only log has no "\n", so it is one block whatever its size)
+@pytest.mark.parametrize("layout", ["lf", "crlf", "gaps"])
 @pytest.mark.parametrize("n_matches", [10, 80])
-def test_csv_reader_holds_one_block_beside_the_log_and_its_records(tmp_path, n_matches):
+def test_csv_reader_holds_one_block_beside_the_log_and_its_records(tmp_path, n_matches, layout):
     export_csv(synthetic_corpus(MatchFormat.ODI, n_matches, seed=1), tmp_path / "balls.csv")
     raw = (tmp_path / "balls.csv").read_bytes()
+    raw = raw if layout == "lf" else RELAID_LOGS[layout](raw)
     # Fixed from the block size, whatever the log's: a block of B bytes of lines of 10
     # fields has at most B/2 separators and B/20 rows, so at once it holds at most its
     # separator positions (4B), its values of 10 fields (2.6B) and one field's
     # temporaries (about 3B); 16B leaves room for the per-run lists.
     assert read_log_excess(raw) < 16 * csv_log._BLOCK
+
+
+def test_each_block_is_parsed_once(tmp_path, monkeypatch):
+    monkeypatch.setattr(csv_log, "_BLOCK", 1 << 14)
+    text = exported_text(synthetic_corpus(MatchFormat.ODI, 2, seed=1), tmp_path)
+    # where the reader ends its blocks after the header: at whole lines, _BLOCK bytes on
+    ends, at = [], len(CSV_HEADER) + 1
+    while at < len(text):
+        at = text.find("\n", at + csv_log._BLOCK - 1) + 1 or len(text)
+        ends.append(at)
+    assert len(ends) >= 3
+    # a blank line in the last block, which is then laid out on its own
+    at = text.index("\n", ends[-2]) + 1
+    text = text[:at] + "\n" + text[at:]
+    calls = []
+    integers = csv_log._integers
+
+    def counted(*args):
+        calls.append(args[1].size)
+        return integers(*args)
+
+    monkeypatch.setattr(csv_log, "_integers", counted)
+    got, want = read_both(text)
+    assert isinstance(got, list) and got == want
+    fields = sum(convert is int for _, convert in csv_log._READ_ORDER)
+    assert len(calls) == fields * len(ends)  # no block is parsed again
+    assert sum(calls) == fields * sum(inn.over.size for m in got for inn in m.innings)
 
 
 # valid tokens in other spellings, and bad ones, for any cell
@@ -1107,6 +1139,21 @@ CELL_TOKENS = [
 ]
 
 
+def lay_out(lines, layout, rng):
+    """``lines`` as a log of ``layout``: LF or CRLF ends, one to three blank or
+    whitespace-only lines inserted after the header, or no final newline."""
+    lines = list(lines)
+    if layout in ("blank", "whitespace"):
+        for at in sorted(rng.integers(1, len(lines) + 1, size=int(rng.integers(1, 4))))[::-1]:
+            lines.insert(int(at), "" if layout == "blank" else " \t ")
+    end = "\r\n" if layout == "crlf" else "\n"
+    text = end.join(lines) + end
+    return text[:-1] if layout == "no_final_newline" else text
+
+
+LINE_LAYOUTS = ("lf", "crlf", "blank", "whitespace", "no_final_newline")
+
+
 def test_csv_reader_agrees_with_the_reference_on_corrupted_logs(tmp_path, monkeypatch):
     matches = synthetic_corpus(MatchFormat.T20I, 2, seed=3)
     lines = exported_text(matches, tmp_path).splitlines()[:60]
@@ -1114,7 +1161,10 @@ def test_csv_reader_agrees_with_the_reference_on_corrupted_logs(tmp_path, monkey
     # the reader's block, drawn apart from the corruptions: from one line to twice the
     # log, so blocks end on varied rows, and about half the logs are read as one block
     blocks = np.random.default_rng(18).integers(1, 2 * len("\n".join(lines)), size=1500)
-    errors = set()
+    # each log's line layout, drawn apart from both: in every layout but LF's, a block
+    # is laid out on its own before it is parsed, and its errors still name log lines
+    layouts = np.random.default_rng(19)
+    errors, failed_layouts = set(), set()
     for size in blocks.tolist():
         monkeypatch.setattr(csv_log, "_BLOCK", size)
         rows = [line.split(",") for line in lines[1:]]
@@ -1123,12 +1173,15 @@ def test_csv_reader_agrees_with_the_reference_on_corrupted_logs(tmp_path, monkey
             row = rows[int(rng.integers(len(rows)))]
             for field in rng.choice(10, size=n_cells, replace=False):
                 row[field] = CELL_TOKENS[int(rng.integers(len(CELL_TOKENS)))]
-        text = "\n".join([lines[0]] + [",".join(row) for row in rows]) + "\n"
+        layout = LINE_LAYOUTS[int(layouts.integers(len(LINE_LAYOUTS)))]
+        text = lay_out([lines[0]] + [",".join(row) for row in rows], layout, layouts)
         got, want = read_both(text)
         assert got == want, text
         if isinstance(got, str):
             errors.add(got.split(":")[0])
+            failed_layouts.add(layout)
     assert len(errors) >= 3  # bad rows, bad innings and conflicting formats all occur
+    assert failed_layouts == set(LINE_LAYOUTS)  # an error is positioned in every layout
 
 
 GOOD_ROW = "m1,t20i,1,0,{ball},true,1,0,none,false"

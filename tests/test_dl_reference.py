@@ -27,7 +27,7 @@ from rainrule import (
 )
 from rainrule import dl_reference, leastsq, score_stats
 from rainrule.dl_reference import _pool_nonincreasing
-from rainrule.errors import FitError
+from rainrule.errors import DegenerateCurveError, FitError
 from test_run_curves import flat_innings, one_innings_match
 
 
@@ -251,6 +251,15 @@ class TestResourceTable:
     def test_requires_wicketless_curve(self):
         with pytest.raises(IncompleteFamilyError):
             resource_table([DLCurve(w=1, z0=250.0, decay=0.04)], 50)
+
+    @pytest.mark.parametrize("decay", [1e-300, 5e-324])
+    def test_full_resources_must_be_positive(self, decay):
+        # decay * max_overs below about 1e-16 leaves 1 - exp(-decay * u) at 0.0, so the
+        # w=0 curve has no resources to share out, and no cell is divided by them
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateCurveError, match=r"^full resources Z\(50, 0\) = 0\.0 "):
+                resource_table([DLCurve(w=0, z0=1.0, decay=decay)], 50)
 
     def test_max_overs_is_the_last_row(self, odi_table):
         assert odi_table.max_overs == 50
