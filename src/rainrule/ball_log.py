@@ -15,6 +15,9 @@ with read-only :class:`Delivery` row views on demand.  It checks each
 delivery rule once over its columns; each reader maps the first failing row
 (:class:`RowError`) back to its own position, a JSON path or a CSV line, as
 one :class:`ParseError`, so one bad file is one diagnostic in :func:`load_corpus`.
+
+:func:`load_corpus` keeps what it read of each ``.json`` file in the record
+cache of :mod:`rainrule.record_cache`, so an unchanged file is decoded once.
 """
 
 from __future__ import annotations
@@ -111,7 +114,8 @@ class Delivery(NamedTuple):
 
 
 class RowError(ValueError):
-    """A delivery rule failing at ``row``, which a reader maps to its own position."""
+    """A record rule failing at ``row`` (a delivery, or a resource-table row), which
+    a reader maps to its own position."""
 
     def __init__(self, row: int, message: str):
         super().__init__(message)
@@ -366,11 +370,24 @@ def load_corpus(
     under each match id is kept: every later copy is one diagnostic naming
     the file it was first read from.  Matches are returned sorted by
     match_id, so the result does not depend on filesystem enumeration order.
+
+    What each ``.json`` file gave (its match and warnings, or the text of the
+    error it failed with) is kept in ``directory/.rainrule-cache``
+    (:mod:`rainrule.record_cache`), keyed by the file's name, byte length and
+    CRC-32, so an unchanged file is not decoded again: its records are rebuilt
+    from the cached columns through the same checks.  Any other file is
+    parsed, and the cache is then rewritten whole, without the files no
+    longer there.  A change to the JSON reader, the record rules, Python or
+    numpy invalidates every entry.  A missing, unreadable or damaged cache
+    counts as empty, one that cannot be written is not written, and the file
+    is always safe to delete: none of these changes a match or a diagnostic.
+    CSV ball logs are not cached.
     """
     root = Path(directory)
     if not root.is_dir():
         raise NotADirectoryError(f"not a readable directory: {root}")
 
+    cache = None  # opened at the first .json file, so CSV logs never load it
     matches: list[MatchRecord] = []
     diagnostics: list[Diagnostic] = []
     first_read: dict[str, str] = {}  # match id -> the file it was kept from
@@ -379,10 +396,22 @@ def load_corpus(
         if suffix not in (".json", ".csv"):
             continue
         try:
-            parsed, warns = _read(path.read_bytes(), suffix == ".json", path.stem)
-        except (ParseError, UnsupportedFormatError, OSError) as e:
+            raw = path.read_bytes()
+        except OSError as e:
             diagnostics.append(Diagnostic(path.name, str(e)))
             continue
+        if suffix == ".csv":
+            outcome = _outcome(raw, False, path)
+        else:
+            if cache is None:
+                from .record_cache import RecordCache
+
+                cache = RecordCache(root)
+            outcome = cache.outcome(path, raw)
+        if isinstance(outcome, str):
+            diagnostics.append(Diagnostic(path.name, outcome))
+            continue
+        parsed, warns = outcome
         diagnostics.extend(Diagnostic(path.name, w) for w in warns)
         for match in parsed:
             mid = match.match_id
@@ -392,11 +421,22 @@ def load_corpus(
             else:
                 first_read[mid] = path.name
                 matches.append(match)
+    if cache is not None:
+        cache.save()
 
     if format_filter is not None:
         matches = [m for m in matches if m.format is format_filter]
     matches.sort(key=lambda m: m.match_id)
     return Corpus(tuple(matches), tuple(diagnostics))
+
+
+def _outcome(raw: bytes, cricsheet: bool, path: Path):
+    """The matches and warnings :func:`_read` gives for a file's bytes, or the text
+    of the error it fails with."""
+    try:
+        return _read(raw, cricsheet, path.stem)
+    except (ParseError, UnsupportedFormatError) as e:
+        return str(e)
 
 
 # ---------------------------------------------------------------------------

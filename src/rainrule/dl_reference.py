@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .ball_log import MatchFormat, MatchRecord, qualifying_trajectories, value_eq
+from .ball_log import MatchFormat, MatchRecord, RowError, qualifying_trajectories, value_eq
 from .errors import (
     DegenerateCurveError, DegenerateFitError, IncompleteFamilyError, InsufficientDataError,
     ParseError,
@@ -217,7 +217,10 @@ def fit_dl_family(
 
 @dataclass(frozen=True, eq=False)
 class ResourceTable:
-    """Resource percentages indexed by overs remaining and wickets lost."""
+    """Resource percentages indexed by overs remaining and wickets lost.
+
+    A cell outside [0, 100] raises :class:`~rainrule.ball_log.RowError` (a
+    ``ValueError``) naming the grid row of the first such cell."""
 
     grid: np.ndarray = field(repr=False)  # [u, w]: u overs remaining, w wickets lost
 
@@ -227,8 +230,10 @@ class ResourceTable:
         object.__setattr__(self, "grid", grid)
         if grid.ndim != 2 or grid.shape[0] < 1 or grid.shape[1] != 11:
             raise ValueError(f"grid shape {grid.shape} is not (max_overs + 1, 11)")
-        if not np.all((grid >= 0) & (grid <= 100)):
-            raise ValueError("every cell must be a percentage in [0, 100]")
+        outside = ~((grid >= 0) & (grid <= 100))  # also nan
+        if outside.any():
+            raise RowError(int(outside.any(axis=1).argmax()),
+                           "every cell must be a percentage in [0, 100]")
 
     __eq__ = value_eq
 
@@ -264,13 +269,14 @@ def resource_table(family: Sequence[DLCurve], max_overs: int) -> ResourceTable:
         raise DegenerateCurveError(f"full resources Z({max_overs}, 0) = {scale!r} are not positive")
     overs = np.arange(max_overs + 1, dtype=float)
     grid = np.zeros((max_overs + 1, 11))
-    curve = by_w[0]
+    curve, values = by_w[0], np.full(overs.size, np.inf)
     for w in range(10):
         curve = by_w.get(w, curve)
-        # divide first: value(max_overs)/scale is exactly 1, so the w=0
-        # full-allocation corner lands on 100.0 with no round-off
-        raw = 100.0 * (curve.value(overs) / scale)
-        grid[:, w] = raw if w == 0 else np.minimum(grid[:, w - 1], raw)
+        # clamp before scaling, which is monotone, so no value far above the
+        # w=0 curve's can overflow; divide first: value(max_overs)/scale is
+        # exactly 1, so the w=0 full-allocation corner lands on 100.0
+        values = np.minimum(values, curve.value(overs))
+        grid[:, w] = 100.0 * (values / scale)
     return ResourceTable(grid)
 
 
@@ -298,7 +304,7 @@ def load_resource_table(path: str | Path) -> ResourceTable:
         raise ParseError(f"cannot read {path}: {e}")
     if not lines or lines[0].strip() != _TABLE_HEADER:
         raise ParseError("resource table header mismatch", position=f"{path}:1")
-    rows: dict[int, list[float]] = {}
+    rows: dict[int, tuple[int, list[float]]] = {}  # u -> (its line, its cells)
     for line_no, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
@@ -307,15 +313,16 @@ def load_resource_table(path: str | Path) -> ResourceTable:
             raise ParseError("expected 12 fields", position=f"{path}:{line_no}")
         try:
             cells = [float(v) for v in parts[1:]]
-            if not all(0.0 <= cell <= 100.0 for cell in cells):  # also refuses nan
-                raise ValueError("cells must be percentages in [0, 100]")
             u = int(parts[0])
         except ValueError as e:
             raise ParseError(f"bad cell: {e}", position=f"{path}:{line_no}")
         if u in rows:
             raise ParseError(f"repeated row u = {u}", position=f"{path}:{line_no}")
-        rows[u] = cells
+        rows[u] = line_no, cells
     # a length check, not a range of the labels: one huge label stays cheap
     if not rows or min(rows) != 0 or len(rows) != max(rows) + 1:
         raise ParseError(f"resource table rows must cover u = 0..max ({path})")
-    return ResourceTable(np.array([rows[u] for u in range(len(rows))]))
+    try:
+        return ResourceTable(np.array([rows[u][1] for u in range(len(rows))]))
+    except RowError as e:  # a cell outside [0, 100], at the line of its row
+        raise ParseError(f"bad cell: {e}", position=f"{path}:{rows[e.row][0]}")

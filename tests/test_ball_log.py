@@ -7,6 +7,8 @@ import json
 import re
 import sys
 import tracemalloc
+import warnings
+import zlib
 from datetime import date
 
 import numpy as np
@@ -34,7 +36,7 @@ from rainrule import (
     qualifying_trajectories,
     trajectory,
 )
-from rainrule import ball_log, cricsheet, csv_log, fixtures
+from rainrule import ball_log, cricsheet, csv_log, fixtures, record_cache
 from rainrule.fixtures import fixture_path, synthetic_corpus, write_corpus
 from test_outputs import LAYOUTS as RELAID_LOGS
 
@@ -399,6 +401,145 @@ def test_one_bad_file_is_one_diagnostic(tmp_path, name, text, position):
     assert [m.match_id for m in corpus] == ["tiny_odi", "tiny_t20i"]
     assert [d.source for d in corpus.diagnostics] == [name]
     assert position in corpus.diagnostics[0].message
+
+
+# ---------------------------------------------------------------------------
+# the record cache of load_corpus
+
+
+def parses(monkeypatch) -> list[str]:
+    """The names of the files ``load_corpus`` parses, in the order it parses them."""
+    parsed = []
+    read = ball_log._read
+
+    def counted(raw, cricsheet, match_id):
+        parsed.append(f"{match_id}.{'json' if cricsheet else 'csv'}")
+        return read(raw, cricsheet, match_id)
+
+    monkeypatch.setattr(ball_log, "_read", counted)
+    return parsed
+
+
+def loaded(directory):
+    """The matches and (source, message) diagnostics of ``load_corpus``, any warning an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        corpus = load_corpus(directory)
+    return corpus.matches, [(d.source, d.message) for d in corpus.diagnostics]
+
+
+def cached_names(directory) -> list[str]:
+    return sorted(record_cache.RecordCache(directory).kept)
+
+
+def json_names(directory) -> list[str]:
+    return sorted(p.name for p in directory.glob("*.json"))
+
+
+def copy_fixtures(directory):
+    for name in ("tiny_odi.json", "tiny_t20i.json"):
+        (directory / name).write_bytes(fixture_path(name).read_bytes())
+
+
+def test_a_warm_load_gives_what_the_cold_one_gave(tmp_path, monkeypatch):
+    for name, text, _ in BAD_FILES:
+        (tmp_path / name).write_text(text)
+    copy_fixtures(tmp_path)
+    doc = json.loads(fixture_path("tiny_odi.json").read_text())
+    doc["innings"].append(doc["innings"][0])
+    (tmp_path / "super_over.json").write_text(json.dumps(doc))
+    # balls.csv sorts first, so tiny_odi.json holds a duplicate match id
+    export_csv([parse_match(fixture_path("tiny_odi.json").read_bytes(), "tiny_odi")],
+               tmp_path / "balls.csv")
+    files = sorted(p.name for p in tmp_path.iterdir())
+    parsed = parses(monkeypatch)
+    cold = loaded(tmp_path)
+    assert sorted(parsed) == files
+    assert cached_names(tmp_path) == json_names(tmp_path)
+    parsed.clear()
+    warm = loaded(tmp_path)
+    assert warm == cold
+    assert sorted(parsed) == sorted(p.name for p in tmp_path.glob("*.csv"))  # logs are not cached
+    diagnostics = dict(cold[1])
+    assert diagnostics["super_over.json"] == "dropped 6 deliveries in 1 innings beyond innings 2"
+    assert diagnostics["tiny_odi.json"].startswith("duplicate match id 'tiny_odi'")
+    assert len(cold[1]) == len(BAD_FILES) + 2
+    for inn in (inn for match in warm[0] for inn in match.innings):
+        for name in ball_log._COLUMNS:
+            column = getattr(inn, name)
+            assert column.dtype == ball_log._COLUMN_DTYPES[name] and not column.flags.writeable
+
+
+def test_a_same_length_edit_is_parsed_again(tmp_path, monkeypatch):
+    copy_fixtures(tmp_path)
+    load_corpus(tmp_path)
+    path = tmp_path / "tiny_t20i.json"
+    text = path.read_text()
+    edited = text.replace('"batter": 1,', '"batter": 6,', 1)
+    assert len(edited) == len(text) and edited != text
+    path.write_text(edited)
+    parsed = parses(monkeypatch)
+    matches, _ = loaded(tmp_path)
+    assert parsed == ["tiny_t20i.json"]
+    assert matches[1] == parse_match(edited, "tiny_t20i") != parse_match(text, "tiny_t20i")
+    parsed.clear()
+    assert loaded(tmp_path)[0] == matches and parsed == []
+
+
+def test_a_deleted_file_drops_out_of_the_cache(tmp_path, monkeypatch):
+    copy_fixtures(tmp_path)
+    load_corpus(tmp_path)
+    (tmp_path / "tiny_odi.json").unlink()
+    parsed = parses(monkeypatch)
+    assert [m.match_id for m in loaded(tmp_path)[0]] == ["tiny_t20i"]
+    assert parsed == [] and cached_names(tmp_path) == ["tiny_t20i.json"]
+
+
+def spoil(raw: bytes, how: str) -> bytes:
+    if how == "flipped_bit":
+        return raw[:len(raw) // 2] + bytes([raw[len(raw) // 2] ^ 1]) + raw[len(raw) // 2 + 1:]
+    if how == "truncated":
+        return raw[:len(raw) // 2]
+    if how == "foreign":
+        return b"not a record cache"
+    # the first innings' first over, after the 8 magic bytes, set to -1 under a CRC-32
+    # that matches: the record rebuilt from it breaks a delivery rule, so it is parsed
+    body = raw[:8] + b"\xff" * 8 + raw[16:-4]
+    return body + zlib.crc32(body).to_bytes(4, "little")
+
+
+@pytest.mark.parametrize("how", ["flipped_bit", "truncated", "foreign", "broken_rule", "stale_key"])
+def test_a_damaged_or_stale_cache_is_ignored_and_replaced(tmp_path, monkeypatch, how):
+    copy_fixtures(tmp_path)
+    cold = loaded(tmp_path)
+    cache = tmp_path / record_cache.CACHE_NAME
+    if how == "stale_key":  # as after an edit to the reader or a new Python
+        key = record_cache._cache_key()
+        monkeypatch.setattr(record_cache, "_cache_key", lambda: key + 1)
+    else:
+        cache.write_bytes(spoil(cache.read_bytes(), how))
+    parsed = parses(monkeypatch)
+    assert loaded(tmp_path) == cold
+    # a rule broken in one entry sends only its file to the parser
+    assert parsed == json_names(tmp_path)[:1 if how == "broken_rule" else None]
+    parsed.clear()
+    assert loaded(tmp_path) == cold and parsed == []
+
+
+def test_a_directory_in_the_caches_place_loads_and_writes_nothing(tmp_path, monkeypatch):
+    copy_fixtures(tmp_path)
+    (tmp_path / record_cache.CACHE_NAME).mkdir()
+    before = sorted(tmp_path.rglob("*"))
+    parsed = parses(monkeypatch)
+    assert loaded(tmp_path) == loaded(tmp_path)
+    assert parsed == json_names(tmp_path) * 2
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+def test_a_directory_of_ball_logs_gets_no_cache(tmp_path):
+    export_csv(synthetic_corpus(MatchFormat.T20I, 2, seed=1), tmp_path / "balls.csv")
+    assert loaded(tmp_path) == loaded(tmp_path)
+    assert [p.name for p in tmp_path.iterdir()] == ["balls.csv"]
 
 
 def one_innings_both_ways(rows):

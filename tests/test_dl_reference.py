@@ -238,6 +238,14 @@ class TestResourceTable:
         table = resource_table(family, 50)
         assert np.all(np.diff(table.grid, axis=1) <= 0)
 
+    def test_curve_far_above_the_first_is_clamped_before_scaling(self):
+        # dividing the w=1 values by the w=0 full resources before clamping overflowed
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = resource_table([DLCurve(0, 1e-300, 1.0), DLCurve(1, 1e300, 1.0)], 50)
+        assert np.array_equal(table.grid[:, 1], table.grid[:, 0])
+        assert table.percentage(50, 0) == 100.0
+
     def test_missing_states_borrow_previous_curve(self):
         family = [DLCurve(w=0, z0=250.0, decay=0.04)]
         table = resource_table(family, 50)
@@ -282,8 +290,10 @@ class TestResourceTable:
         # a NaN grid and a -5.0 grid built, and percentage returned their cells
         grid = np.zeros((2, 11))
         grid[1, 3] = cell
-        with pytest.raises(ValueError, match=r"^every cell must be a percentage in \[0, 100\]$"):
+        message = r"^every cell must be a percentage in \[0, 100\]$"
+        with pytest.raises(ValueError, match=message) as e:
             ResourceTable(grid)
+        assert e.value.row == 1  # the first bad cell's row, which a reader maps to its line
         assert ResourceTable(np.full((2, 11), 100.0)).percentage(1, 3) == 100.0
 
     def test_out_of_range_lookup(self, odi_table):
