@@ -139,17 +139,23 @@ def _first_bad_row(low: np.ndarray, high: np.ndarray, scarce: np.ndarray) -> Row
 
 
 def freeze_columns(record, **dtypes) -> None:
-    """Set each named array field of a record to a read-only copy of its dtype (``None``
-    keeps the given one), a value past int64 pinned to the nearer end, where a delivery
-    rule rejects it; columns that are not 1-D, or differ in length, raise ``ValueError``."""
+    """Set each named array field of a record to a read-only array of its dtype (``None``
+    keeps the given one): the given array when nothing can write it (it and the array
+    that owns its memory are read-only), else a copy, a value past int64 pinned to the
+    nearer end, where a delivery rule rejects it; so a caller's writable arrays stay the
+    caller's.  Columns that are not 1-D, or differ in length, raise ``ValueError``."""
     for name, dtype in dtypes.items():
-        values = getattr(record, name)
-        try:
-            column = np.array(values, dtype=dtype)
-        except OverflowError:
-            column = np.array([min(max(v, _I64.min), _I64.max) for v in values], dtype=dtype)
-        column.setflags(write=False)
-        object.__setattr__(record, name, column)
+        column = values = getattr(record, name)
+        owner = values.base if type(values) is np.ndarray else None
+        if not (type(values) is np.ndarray and not values.flags.writeable
+                and (owner is None or type(owner) is np.ndarray and not owner.flags.writeable)
+                and (dtype is None or values.dtype == dtype)):
+            try:
+                column = np.array(values, dtype=dtype)
+            except OverflowError:
+                column = np.array([min(max(v, _I64.min), _I64.max) for v in values], dtype=dtype)
+            column.setflags(write=False)
+            object.__setattr__(record, name, column)
         if column.ndim != 1:
             raise ValueError("columns must be 1-D")
     if len({getattr(record, name).size for name in dtypes}) != 1:
@@ -184,14 +190,10 @@ class InningsRecord:
     kind: np.ndarray
     wicket: np.ndarray
 
-    def __post_init__(self, adopt: bool = False):
+    def __post_init__(self):
         if self.innings_index not in (1, 2):
             raise ValueError("innings_index must be 1 or 2")
-        if adopt:
-            for name in _COLUMNS:
-                getattr(self, name).setflags(write=False)
-        else:
-            freeze_columns(self, **_COLUMN_DTYPES)
+        freeze_columns(self, **_COLUMN_DTYPES)
         # every row rule at once as bounds, which also name the first failure
         bounded = np.array(
             [self.over, self.ball_in_over, self.batter_runs, self.extras_runs, self.kind]
@@ -207,17 +209,6 @@ class InningsRecord:
             raise ValueError("more than 10 wickets in one innings")
 
     __eq__ = value_eq
-
-    @classmethod
-    def _adopt(cls, *values) -> InningsRecord:
-        """The record of ``values``, checked as ``__init__`` checks it, that keeps the
-        columns it is given, made read-only, instead of copies: for a reader that gives
-        up arrays it built of the column dtypes and one length, and keeps no reference."""
-        record = cls.__new__(cls)
-        for f, value in zip(fields(cls), values):
-            object.__setattr__(record, f.name, value)
-        record.__post_init__(adopt=True)
-        return record
 
     @property
     def legal(self) -> np.ndarray:
@@ -397,8 +388,8 @@ def load_corpus(
             continue
         try:
             raw = path.read_bytes()
-        except OSError as e:
-            diagnostics.append(Diagnostic(path.name, str(e)))
+        except OSError as e:  # its strerror alone, so the file is named once
+            diagnostics.append(Diagnostic(path.name, e.strerror or str(e)))
             continue
         if suffix == ".csv":
             outcome = _outcome(raw, False, path)
@@ -461,11 +452,11 @@ def trajectory(innings: InningsRecord, format: MatchFormat) -> InningsTrajectory
     # the row each point is read at: every legal ball but the last, then the
     # last delivery, so the final point also carries any trailing illegal ones
     at = np.append(legal_rows[:-1], innings.kind.size - 1)
-    return InningsTrajectory(
-        runs=np.cumsum(innings.batter_runs + innings.extras_runs)[at],
-        wickets=np.cumsum(innings.wicket, dtype=np.int64)[at],
-        completed_balls=n_legal,
-    )
+    runs = np.cumsum(innings.batter_runs + innings.extras_runs)[at]
+    wickets = np.cumsum(innings.wicket, dtype=np.int64)[at]
+    for column in runs, wickets:  # nothing else holds them, so the trajectory keeps them
+        column.setflags(write=False)
+    return InningsTrajectory(runs, wickets, n_legal)
 
 
 def innings_trajectories(

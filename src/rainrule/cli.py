@@ -43,7 +43,8 @@ def _data_dir(args: argparse.Namespace) -> str | Path | None:
 
 
 def _corpus(args: argparse.Namespace) -> Corpus:
-    """Every readable match of the source, by match id, dated up to ``--until``.
+    """Every readable match of the source, by match id, dated up to ``--until``, after
+    a warning on stderr for each file it could not use.
 
     Each command applies ``--format`` where it selects its matches or innings."""
     from .ball_log import Corpus, load_corpus
@@ -58,6 +59,8 @@ def _corpus(args: argparse.Namespace) -> Corpus:
         raise EmptySelectionError(
             "no data source: pass --data-dir, set RAINRULE_DATA_DIR, or use --fixture"
         )
+    for diag in source.diagnostics:
+        print(f"warning: {diag.source}: {diag.message}", file=sys.stderr)
     kept = sorted((m for m in source if args.until is None or m.date <= args.until),
                   key=lambda m: m.match_id)
     return Corpus(tuple(kept), source.diagnostics)
@@ -100,8 +103,6 @@ def cmd_ingest(args: argparse.Namespace) -> None:
     from .ball_log import MatchFormat
 
     corpus = _corpus(args)
-    for diag in corpus.diagnostics:
-        print(f"warning: {diag.source}: {diag.message}", file=sys.stderr)
     matches = [m for m in corpus if args.format in (None, m.format)]
     # the log is written before the report, so a failed export reports no success
     if matches and args.export_csv is not None:

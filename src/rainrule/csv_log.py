@@ -96,7 +96,7 @@ def read_log(data: bytes | str) -> list[MatchRecord]:
         for idx, pieces in by_index.items():
             rows = pieces[0] if len(pieces) == 1 else np.r_[tuple(pieces)]
             try:
-                innings.append(InningsRecord._adopt(idx, "", *(column[rows] for column in columns)))
+                innings.append(InningsRecord(idx, "", *(column[rows] for column in columns)))
             except RowError as e:
                 line = _line(raw, int(np.arange(n)[rows][e.row]))
                 raise ParseError(f"bad delivery row: {e}", position=f"line {line}") from e
@@ -185,6 +185,8 @@ def _read_blocks(raw: bytes, breaks: tuple[bytes, ...]):
             if fields:
                 raise fail(f"expected 10 fields, found {fields}", r)
         at = to
+    for column in columns:  # frozen whole, so a record keeps its slice rather than a copy
+        column.setflags(write=False)
     return [column[:r] for column in columns], runs, formats
 
 

@@ -62,6 +62,7 @@ class RecordCache:
             buf = np.fromfile(self.path, np.uint8)
         except OSError:
             return
+        buf.setflags(write=False)  # so each record keeps its slice rather than a copy
         if (buf.size < 20 or buf[:8].tobytes() != _MAGIC
                 or zlib.crc32(buf[:-4]) != int.from_bytes(buf[-4:], "little")):
             return
@@ -101,7 +102,7 @@ class RecordCache:
             ints = block[:40 * rows].view("<i8")
             columns = (ints[k * rows:(k + 1) * rows] for k in range(5))
             wicket = block[40 * rows:].view(bool)
-            records.append(InningsRecord._adopt(index, team, *columns, wicket))
+            records.append(InningsRecord(index, team, *columns, wicket))
         match = MatchRecord(match_id, MatchFormat(format), parse_date(day), teams, venue, records)
         return [match], list(warns)
 

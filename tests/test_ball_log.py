@@ -10,6 +10,7 @@ import tracemalloc
 import warnings
 import zlib
 from datetime import date
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -495,7 +496,28 @@ def test_a_deleted_file_drops_out_of_the_cache(tmp_path, monkeypatch):
     assert parsed == [] and cached_names(tmp_path) == ["tiny_t20i.json"]
 
 
+def with_header(raw: bytes, edit) -> bytes:
+    """A cache with its header's bytes edited by ``edit``, under a length and a CRC-32 that
+    match."""
+    end = len(raw) - 12 - int.from_bytes(raw[-12:-4], "little")
+    header = edit(raw[end:-12])
+    body = raw[:end] + header + len(header).to_bytes(8, "little")
+    return body + zlib.crc32(body).to_bytes(4, "little")
+
+
+def rows_past_the_columns(header: bytes) -> bytes:
+    """The header with the first file's first innings holding more rows than the cache."""
+    doc = json.loads(header)
+    innings = next(iter(doc["files"].values()))[2][6]  # [length, crc, entry], its innings
+    innings[0][2] = 1 << 40  # [index, team, rows, offset]
+    return json.dumps(doc).encode()
+
+
 def spoil(raw: bytes, how: str) -> bytes:
+    if how == "header_not_json":
+        return with_header(raw, lambda header: header[:-1])
+    if how == "rows_past_the_columns":
+        return with_header(raw, rows_past_the_columns)
     if how == "flipped_bit":
         return raw[:len(raw) // 2] + bytes([raw[len(raw) // 2] ^ 1]) + raw[len(raw) // 2 + 1:]
     if how == "truncated":
@@ -508,7 +530,8 @@ def spoil(raw: bytes, how: str) -> bytes:
     return body + zlib.crc32(body).to_bytes(4, "little")
 
 
-@pytest.mark.parametrize("how", ["flipped_bit", "truncated", "foreign", "broken_rule", "stale_key"])
+@pytest.mark.parametrize("how", ["flipped_bit", "truncated", "foreign", "header_not_json",
+                                 "broken_rule", "rows_past_the_columns", "stale_key"])
 def test_a_damaged_or_stale_cache_is_ignored_and_replaced(tmp_path, monkeypatch, how):
     copy_fixtures(tmp_path)
     cold = loaded(tmp_path)
@@ -520,10 +543,24 @@ def test_a_damaged_or_stale_cache_is_ignored_and_replaced(tmp_path, monkeypatch,
         cache.write_bytes(spoil(cache.read_bytes(), how))
     parsed = parses(monkeypatch)
     assert loaded(tmp_path) == cold
-    # a rule broken in one entry sends only its file to the parser
-    assert parsed == json_names(tmp_path)[:1 if how == "broken_rule" else None]
+    # a broken rule or an innings past the columns sends only its file to the parser
+    one = how in ("broken_rule", "rows_past_the_columns")
+    assert parsed == json_names(tmp_path)[:1 if one else None]
     parsed.clear()
     assert loaded(tmp_path) == cold and parsed == []
+
+
+def test_a_directory_named_as_a_match_file_is_one_diagnostic(tmp_path, monkeypatch):
+    copy_fixtures(tmp_path)
+    (tmp_path / "broken.json").mkdir()
+    parsed = parses(monkeypatch)
+    # cold, warm, then the same directory spelled relative to its parent
+    for directory in (tmp_path, tmp_path, Path(tmp_path.name)):
+        monkeypatch.chdir(tmp_path.parent)
+        matches, diagnostics = loaded(directory)
+        assert [m.match_id for m in matches] == ["tiny_odi", "tiny_t20i"]
+        assert diagnostics == [("broken.json", "Is a directory")]
+    assert parsed == ["tiny_odi.json", "tiny_t20i.json"]
 
 
 def test_a_directory_in_the_caches_place_loads_and_writes_nothing(tmp_path, monkeypatch):
@@ -1108,6 +1145,92 @@ def test_column_rules_match_the_per_delivery_checks():
 
 
 # ---------------------------------------------------------------------------
+# the arrays a record keeps
+
+
+def read_only(values, dtype, owner_writable=False):
+    """A read-only array of ``values`` that is a view of a larger owner, itself read-only
+    unless ``owner_writable``."""
+    owner = np.array([0, *values, 0], dtype=dtype)
+    owner.setflags(write=owner_writable)
+    view = owner[1:-1]
+    view.setflags(write=False)
+    return view
+
+
+# each record that holds columns: its builder, and each column's values and dtype
+COLUMN_RECORDS = {
+    "innings": (
+        lambda **c: InningsRecord(1, "X", **c),
+        dict(over=([0, 0], np.int64), ball_in_over=([1, 2], np.int64),
+             batter_runs=([1, 0], np.int64), extras_runs=([0, 1], np.int64),
+             kind=([0, ExtrasKind.WIDE.code], np.int64), wicket=([False, True], bool)),
+    ),
+    "trajectory": (
+        lambda **c: InningsTrajectory(**c, completed_balls=2),
+        dict(runs=([1, 2], np.int32), wickets=([0, 1], np.int64)),
+    ),
+    "curve": (
+        lambda **c: WicketCurve(0, **c, format=MatchFormat.ODI, innings_index=1),
+        dict(balls=([1, 2], np.int64), means=([1.0, 2.0], float), support=([3, 3], np.int64)),
+    ),
+    "histogram": (lambda **c: Histogram(1.0, 0.0, **c), dict(counts=([1.0, 2.0], float))),
+}
+
+
+@pytest.mark.parametrize("name", COLUMN_RECORDS)
+def test_records_keep_columns_nothing_can_write_and_copy_the_rest(name):
+    build, columns = COLUMN_RECORDS[name]
+    given = {c: read_only(values, dtype) for c, (values, dtype) in columns.items()}
+    record = build(**given)
+    assert all(getattr(record, c) is column for c, column in given.items())
+    # a read-only view of a writable array is copied, so a write to its owner stays out
+    given = {c: read_only(values, dtype, owner_writable=True)
+             for c, (values, dtype) in columns.items()}
+    record = build(**given)
+    for c, column in given.items():
+        kept = getattr(record, c)
+        assert not np.shares_memory(kept, column) and not kept.flags.writeable
+        column.base[1] = 7
+        assert kept.tolist() == columns[c][0]
+
+
+def test_a_read_only_column_of_another_dtype_is_copied():
+    columns = [read_only(values, np.int32) for values in zip(legal(0, 1, 1), illegal(0, 2))]
+    inn = InningsRecord(1, "X", *columns)
+    assert inn.over.dtype == np.int64 and inn.wicket.dtype == bool
+    assert not any(np.shares_memory(c, getattr(inn, name))
+                   for c, name in zip(columns, ball_log._COLUMNS))
+
+
+def test_a_trajectory_keeps_the_arrays_it_builds(monkeypatch):
+    built = []
+
+    def build(*args):
+        built.append(args)
+        return InningsTrajectory(*args)
+
+    monkeypatch.setattr(ball_log, "InningsTrajectory", build)
+    traj = trajectory(innings_of(legal(0, 1, 1), illegal(0, 2), legal(0, 2, 4)), MatchFormat.ODI)
+    [(runs, wickets, _)] = built
+    assert traj.runs is runs and traj.wickets is wickets
+    assert traj.runs.tolist() == [1, 6]
+
+
+def test_records_of_a_log_or_a_warm_cache_share_its_columns(tmp_path):
+    matches = synthetic_corpus(MatchFormat.T20I, 3, seed=1)
+    write_corpus(matches, tmp_path)
+    (tmp_path / "log").mkdir()
+    export_csv(matches, tmp_path / "log" / "balls.csv")
+    load_corpus(tmp_path)  # fills the cache
+    for corpus in (load_corpus(tmp_path / "log"), load_corpus(tmp_path)):
+        innings = [inn for match in corpus for inn in match.innings]
+        for name in ball_log._COLUMNS:
+            owners = {id(getattr(inn, name).base) for inn in innings}
+            assert len(innings) == 6 and len(owners) == 1 and None not in owners
+
+
+# ---------------------------------------------------------------------------
 # the CSV reader against the row-by-row reader it replaced
 
 
@@ -1385,13 +1508,12 @@ def test_format_spellings_name_one_format(tmp_path, block):
 def record_builders(monkeypatch):
     """The set that collects the name of each function in which the CSV reader builds an innings."""
     builders = set()
-    adopt = InningsRecord._adopt
 
     def build(*args):
         builders.add(sys._getframe(1).f_code.co_name)
-        return adopt(*args)
+        return InningsRecord(*args)
 
-    monkeypatch.setattr(InningsRecord, "_adopt", build)
+    monkeypatch.setattr(csv_log, "InningsRecord", build)
     return builders
 
 

@@ -209,6 +209,15 @@ class TestIngest:
 
 
 class TestStats:
+    def test_reports_each_file_it_could_not_use(self, tmp_path, capsys):
+        write_corpus(synthetic_corpus(MatchFormat.ODI, 12, seed=3), tmp_path)
+        doc = json.loads(fixture_path("tiny_odi.json").read_text())
+        del doc["info"]["match_type"]
+        write_json(tmp_path / "bad.json", doc)
+        argv = ["stats", "--data-dir", str(tmp_path), "--format", "odi"]
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 0
+        assert capsys.readouterr().err == "warning: bad.json: unsupported match_type None\n"
+
     def test_writes_files_and_table(self, data_dir, tmp_path, capsys):
         out = tmp_path / "stats"
         code = main(
