@@ -24,16 +24,16 @@ from __future__ import annotations
 
 import re
 import warnings
+from collections import namedtuple
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass, fields
 from datetime import date
 from enum import Enum
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ParseError, UnsupportedFormatError
+from .fits import Record
 
 __all__ = [
     "MatchFormat", "ExtrasKind", "Delivery", "InningsRecord", "MatchRecord", "InningsTrajectory",
@@ -97,16 +97,11 @@ _COLUMNS = ("over", "ball_in_over", "batter_runs", "extras_runs", "kind", "wicke
 _COLUMN_DTYPES = {name: bool if name == "wicket" else np.int64 for name in _COLUMNS}
 
 
-class Delivery(NamedTuple):
+class Delivery(namedtuple("Delivery", ("over", "ball_in_over", "batter_runs", "extras_runs",
+                                         "extras_kind", "wicket", "legal"))):
     """One row of an :class:`InningsRecord`, as :attr:`InningsRecord.deliveries` shows it."""
 
-    over: int
-    ball_in_over: int
-    batter_runs: int
-    extras_runs: int
-    extras_kind: ExtrasKind
-    wicket: bool
-    legal: bool
+    __slots__ = ()
 
     @property
     def total_runs(self) -> int:
@@ -167,11 +162,10 @@ def value_eq(self, other) -> bool:
     by ``np.array_equal``.  Each sets it as ``__eq__``, so none of them is hashable."""
     if type(other) is not type(self):
         return NotImplemented
-    return all(np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
+    return all(map(np.array_equal, self._values(), other._values()))
 
 
-@dataclass(frozen=True, eq=False)
-class InningsRecord:
+class InningsRecord(Record):
     """One innings as columns, one row per delivery, legal or not.
 
     ``ball_in_over`` is the delivery's sequence number within its over,
@@ -181,16 +175,13 @@ class InningsRecord:
     ``wicket`` is boolean, the other columns int64.
     """
 
-    innings_index: int
-    batting_team: str
-    over: np.ndarray
-    ball_in_over: np.ndarray
-    batter_runs: np.ndarray
-    extras_runs: np.ndarray
-    kind: np.ndarray
-    wicket: np.ndarray
+    __slots__ = ("innings_index", "batting_team", *_COLUMNS)
 
-    def __post_init__(self):
+    def __init__(self, innings_index: int, batting_team: str, over: np.ndarray,
+                 ball_in_over: np.ndarray, batter_runs: np.ndarray, extras_runs: np.ndarray,
+                 kind: np.ndarray, wicket: np.ndarray):
+        self._set_fields(innings_index, batting_team, over, ball_in_over, batter_runs,
+                         extras_runs, kind, wicket)
         if self.innings_index not in (1, 2):
             raise ValueError("innings_index must be 1 or 2")
         freeze_columns(self, **_COLUMN_DTYPES)
@@ -222,34 +213,27 @@ class InningsRecord:
         return tuple(Delivery(o, b, r, x, _KINDS[k], w, ok) for o, b, r, x, k, w, ok in rows)
 
 
-@dataclass(frozen=True)
-class MatchRecord:
-    match_id: str
-    format: MatchFormat
-    date: date
-    teams: tuple[str, str]
-    venue: str
-    innings: tuple[InningsRecord, ...]
+class MatchRecord(Record):
+    __slots__ = ("match_id", "format", "date", "teams", "venue", "innings")
 
-    def __post_init__(self):
-        object.__setattr__(self, "innings", tuple(self.innings))
-        object.__setattr__(self, "teams", tuple(self.teams))
+    def __init__(self, match_id: str, format: MatchFormat, date: date, teams: tuple[str, str],
+                 venue: str, innings: tuple[InningsRecord, ...]):
+        innings = tuple(innings)
+        self._set_fields(match_id, format, date, tuple(teams), venue, innings)
         idx = [inn.innings_index for inn in self.innings]
         if not 1 <= len(idx) <= 2 or len(set(idx)) != len(idx):
             raise ValueError("a match needs 1 or 2 innings with distinct indices")
 
 
-@dataclass(frozen=True, eq=False)
-class InningsTrajectory:
+class InningsTrajectory(Record):
     """Cumulative (runs, wickets) at each legal ball: one point per completed ball, or
     one for the all-illegal innings, whose ``completed_balls`` stays 0.  ``ball``
     (1..len(runs), a new array on each read) and ``total`` are derived."""
 
-    runs: np.ndarray
-    wickets: np.ndarray
-    completed_balls: int
+    __slots__ = ("runs", "wickets", "completed_balls")
 
-    def __post_init__(self):
+    def __init__(self, runs: np.ndarray, wickets: np.ndarray, completed_balls: int):
+        self._set_fields(runs, wickets, completed_balls)
         freeze_columns(self, runs=None, wickets=None)
         points = self.runs.size
         if not points:
@@ -272,22 +256,24 @@ class InningsTrajectory:
         return list(zip(self.ball.tolist(), self.runs.tolist(), self.wickets.tolist()))
 
 
-@dataclass(frozen=True)
-class Diagnostic:
-    source: str
-    message: str
+class Diagnostic(Record):
+    __slots__ = ("source", "message")
+
+    def __init__(self, source: str, message: str):
+        self._set_fields(source, message)
 
 
 class ParseWarning(UserWarning):
     """Non-fatal data loss during parsing (e.g. super-over innings dropped)."""
 
 
-@dataclass(frozen=True)
-class Corpus(Sequence):
+class Corpus(Record, Sequence):
     """Sequence of MatchRecord plus the diagnostics collected while loading."""
 
-    matches: tuple[MatchRecord, ...]
-    diagnostics: tuple[Diagnostic, ...] = ()
+    __slots__ = ("matches", "diagnostics")
+
+    def __init__(self, matches: tuple[MatchRecord, ...], diagnostics: tuple[Diagnostic, ...] = ()):
+        self._set_fields(matches, diagnostics)
 
     def __len__(self) -> int:
         return len(self.matches)

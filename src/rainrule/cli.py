@@ -79,8 +79,8 @@ def _write_json(path: Path, payload: dict) -> None:
 def _read_json(path: Path):
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as e:
-        raise ParseError(f"cannot read {path}: {e}")
+    except OSError as e:  # its strerror alone, so the file is named once
+        raise ParseError(f"cannot read {path}: {e.strerror or e}")
     except json.JSONDecodeError as e:
         raise ParseError(e.msg, position=f"{path}:{e.lineno}:{e.colno}")
     except (RecursionError, ValueError) as e:  # bad UTF-8, an over-long integer, deep nesting

@@ -95,8 +95,11 @@ def read_log(data: bytes | str) -> list[MatchRecord]:
         innings = []
         for idx, pieces in by_index.items():
             rows = pieces[0] if len(pieces) == 1 else np.r_[tuple(pieces)]
+            picked = [column[rows] for column in columns]  # gathered copies if split, else slices
+            for column in picked:  # frozen, so the record keeps them rather than copying again
+                column.setflags(write=False)
             try:
-                innings.append(InningsRecord(idx, "", *(column[rows] for column in columns)))
+                innings.append(InningsRecord(idx, "", *picked))
             except RowError as e:
                 line = _line(raw, int(np.arange(n)[rows][e.row]))
                 raise ParseError(f"bad delivery row: {e}", position=f"line {line}") from e

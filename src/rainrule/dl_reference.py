@@ -12,7 +12,6 @@ revise targets end-to-end.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +21,7 @@ from .errors import (
     DegenerateCurveError, DegenerateFitError, IncompleteFamilyError, InsufficientDataError,
     ParseError,
 )
+from .fits import Record
 from .leastsq import damped_gauss_newton
 from .run_curves import DEFAULT_MIN_SUPPORT, cell_means
 
@@ -42,16 +42,13 @@ _DECAY_FLOOR = 1e-12
 _MIN_POINTS = 3  # supported cells a wicket state needs before its curve is fitted
 
 
-@dataclass(frozen=True)
-class DLCurve:
+class DLCurve(Record):
     """Fitted exponential resource curve for one wicket state."""
 
-    w: int
-    z0: float
-    decay: float
-    rss: float = 0.0
+    __slots__ = ("w", "z0", "decay", "rss")
 
-    def __post_init__(self):
+    def __init__(self, w: int, z0: float, decay: float, rss: float = 0.0):
+        self._set_fields(w, z0, decay, rss)
         if not 0 <= self.w <= 10:
             raise ValueError(f"w must be in [0, 10], got {self.w}")
         if not 0 < self.z0 < np.inf:
@@ -65,20 +62,17 @@ class DLCurve:
             return self.z0 * (1.0 - np.exp(-self.decay * np.asarray(u, dtype=float)))
 
 
-@dataclass(frozen=True)
-class DLFamily(Sequence):
+class DLFamily(Record, Sequence):
     """Per-wicket curve family with fit diagnostics.
 
     ``adjusted`` is set when the isotonic pass changed any z0; ``omitted``
     lists the wicket states 0..9 that have no curve.
     """
 
-    format: MatchFormat
-    curves: tuple[DLCurve, ...]
-    adjusted: bool = False
+    __slots__ = ("format", "curves", "adjusted")
 
-    def __post_init__(self):
-        object.__setattr__(self, "curves", tuple(self.curves))
+    def __init__(self, format: MatchFormat, curves: tuple[DLCurve, ...], adjusted: bool = False):
+        self._set_fields(format, tuple(curves), adjusted)
         ws = [c.w for c in self.curves]
         if sorted(set(ws)) != ws:
             raise ValueError("curves must be sorted by w without duplicates")
@@ -210,24 +204,23 @@ def fit_dl_family(
     for i, (new, c) in enumerate(zip(pooled, fitted)):
         if new != c.z0:
             u, means, _ = points[c.w]
-            c = replace(c, z0=new)
-            fitted[i] = replace(c, rss=float(np.sum((c.value(u) - means) ** 2)))
+            c = DLCurve(c.w, new, c.decay)
+            fitted[i] = DLCurve(c.w, new, c.decay, float(np.sum((c.value(u) - means) ** 2)))
     return DLFamily(format=format, curves=tuple(fitted), adjusted=adjusted)
 
 
-@dataclass(frozen=True, eq=False)
-class ResourceTable:
+class ResourceTable(Record):
     """Resource percentages indexed by overs remaining and wickets lost.
 
     A cell outside [0, 100] raises :class:`~rainrule.ball_log.RowError` (a
     ``ValueError``) naming the grid row of the first such cell."""
 
-    grid: np.ndarray = field(repr=False)  # [u, w]: u overs remaining, w wickets lost
+    __slots__ = ("grid",)  # [u, w]: u overs remaining, w wickets lost
 
-    def __post_init__(self):
-        grid = np.array(self.grid, dtype=float)
+    def __init__(self, grid: np.ndarray):
+        grid = np.array(grid, dtype=float)
         grid.setflags(write=False)
-        object.__setattr__(self, "grid", grid)
+        self._set_fields(grid)
         if grid.ndim != 2 or grid.shape[0] < 1 or grid.shape[1] != 11:
             raise ValueError(f"grid shape {grid.shape} is not (max_overs + 1, 11)")
         outside = ~((grid >= 0) & (grid <= 100))  # also nan
@@ -236,6 +229,9 @@ class ResourceTable:
                            "every cell must be a percentage in [0, 100]")
 
     __eq__ = value_eq
+
+    def __repr__(self):  # without the grid
+        return f"{type(self).__qualname__}()"
 
     @property
     def max_overs(self) -> int:
@@ -300,7 +296,9 @@ def load_resource_table(path: str | Path) -> ResourceTable:
     """
     try:
         lines = Path(path).read_text(encoding="utf-8").splitlines()
-    except (OSError, UnicodeDecodeError) as e:
+    except OSError as e:  # its strerror alone, so the file is named once
+        raise ParseError(f"cannot read {path}: {e.strerror or e}")
+    except UnicodeDecodeError as e:
         raise ParseError(f"cannot read {path}: {e}")
     if not lines or lines[0].strip() != _TABLE_HEADER:
         raise ParseError("resource table header mismatch", position=f"{path}:1")

@@ -21,16 +21,22 @@ DEFAULT_DEGREE = 3
 
 
 class Record:
-    """Base of the decision path's records, whose fields are their ``__slots__``:
-    equal and hashed by value, immutable, and shown with their field names.
+    """Base of every rainrule record, whose fields are its ``__slots__``: equal and
+    hashed by value, immutable, and shown with its field names.
 
     Plain classes, because ``dataclasses`` imports ``inspect`` and generates
-    each record's methods at import time, on every ``rainrule target`` call.
-    A subclass's ``__init__`` validates its arguments, then sets each field
-    with ``object.__setattr__``.
+    each record's methods at import time, on every command.  A subclass's
+    ``__init__`` sets its fields, in slot order with :meth:`_set_fields`, and
+    checks them; one that holds arrays sets ``__eq__`` to compare them by value,
+    which leaves it unhashable.
     """
 
     __slots__ = ()
+
+    def _set_fields(self, *values) -> None:
+        """Set the fields to ``values``, in slot order."""
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)
@@ -67,11 +73,7 @@ class PolyFit(Record):
             raise ValueError(f"degree must be 2 or 3, got {degree!r}")
         if degree == 2 and a != 0.0:
             raise ValueError("degree-2 fit requires a = 0")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "rss", rss)
+        self._set_fields(a, b, c, degree, rss)
 
 
 def poly_eval(fit: PolyFit, x):

@@ -11,9 +11,10 @@ given problem always produces bit-identical results.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass
 
 import numpy as np
+
+from .fits import Record
 
 __all__ = ["FitOutcome", "damped_gauss_newton"]
 
@@ -25,14 +26,13 @@ _REL_TOL = 1e-10
 _MAX_ITER = 500
 
 
-@dataclass(frozen=True)
-class FitOutcome:
+class FitOutcome(Record):
     """Solution of a damped Gauss-Newton run."""
 
-    params: np.ndarray
-    rss: float
-    iterations: int
-    converged: bool
+    __slots__ = ("params", "rss", "iterations", "converged")
+
+    def __init__(self, params: np.ndarray, rss: float, iterations: int, converged: bool):
+        self._set_fields(params, rss, iterations, converged)
 
 
 def damped_gauss_newton(

@@ -3,13 +3,13 @@
 unchanged file is decoded once.
 
 Each entry is keyed by the file's name, byte length and CRC-32, and the whole cache
-by the source of this module, :mod:`rainrule.ball_log`, :mod:`rainrule.cricsheet`
-and :mod:`rainrule.errors` and by the Python and numpy releases, so a change to the
-JSON reader, the record rules or the error texts invalidates every entry.  An entry
-that matches is rebuilt through the record checks, without the JSON reader.  The
-cache is safe to delete, counts as empty when it is missing, unreadable or damaged,
-and is not written where it cannot be.  :class:`RecordCache` is its only reader and
-writer, and ``load_corpus`` its only user.
+by the source of this module, :mod:`rainrule.ball_log`, :mod:`rainrule.cricsheet`,
+:mod:`rainrule.errors` and :mod:`rainrule.fits` (the records' base) and by the Python
+and numpy releases, so a change to the JSON reader, the records or the error texts
+invalidates every entry.  An entry that matches is rebuilt through the record checks,
+without the JSON reader.  The cache is safe to delete, counts as empty when it is
+missing, unreadable or damaged, and is not written where it cannot be.
+:class:`RecordCache` is its only reader and writer, and ``load_corpus`` its only user.
 """
 
 from __future__ import annotations
@@ -34,9 +34,9 @@ _DAMAGE = (AttributeError, LookupError, TypeError, ValueError)
 
 def _cache_key() -> int:
     """CRC-32 of what decides a file's outcome: the source of the JSON reader, the
-    record rules, the error texts and this cache, and the Python and numpy releases."""
+    records, the error texts and this cache, and the Python and numpy releases."""
     crc = zlib.crc32(f"{sys.version} {np.__version__}".encode())
-    for name in ("record_cache.py", "ball_log.py", "cricsheet.py", "errors.py"):
+    for name in ("record_cache.py", "ball_log.py", "cricsheet.py", "errors.py", "fits.py"):
         crc = zlib.crc32(Path(__file__).with_name(name).read_bytes(), crc)
     return crc
 

@@ -15,7 +15,6 @@ fits document's reader and writer live in :mod:`rainrule.fits`.
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,6 +24,7 @@ from .fits import (
     DEFAULT_DEGREE,
     DEFAULT_MIN_SUPPORT,
     PolyFit,
+    Record,
     family_summary,
     fit_from_json,
     fit_summary,
@@ -46,18 +46,14 @@ __all__ = [
     "fit_from_json",
 ]
 
-@dataclass(frozen=True, eq=False)
-class WicketCurve:
+class WicketCurve(Record):
     """Mean cumulative score per ball, conditioned on exactly ``wickets`` down."""
 
-    wickets: int
-    balls: np.ndarray
-    means: np.ndarray
-    support: np.ndarray
-    format: MatchFormat
-    innings_index: int
+    __slots__ = ("wickets", "balls", "means", "support", "format", "innings_index")
 
-    def __post_init__(self):
+    def __init__(self, wickets: int, balls: np.ndarray, means: np.ndarray, support: np.ndarray,
+                 format: MatchFormat, innings_index: int):
+        self._set_fields(wickets, balls, means, support, format, innings_index)
         if not 0 <= self.wickets <= 10:
             raise ValueError("wickets must be in [0, 10]")
         if self.innings_index not in (1, 2):

@@ -13,12 +13,12 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
 
 import numpy as np
 
 from .ball_log import MatchFormat, MatchRecord, freeze_columns, innings_trajectories, value_eq
 from .errors import DataError, DegenerateFitError, EmptySelectionError, InsufficientDataError
+from .fits import Record
 from .leastsq import damped_gauss_newton
 
 __all__ = [
@@ -37,15 +37,13 @@ _SIGMA_FLOOR = 1e-9
 _MAX_BINS = 100_000  # far more than any totals histogram needs
 
 
-@dataclass(frozen=True, eq=False)
-class Histogram:
+class Histogram(Record):
     """Uniform-width histogram of left-closed right-open bins from ``lowest_edge``."""
 
-    bin_width: float
-    lowest_edge: float
-    counts: np.ndarray
+    __slots__ = ("bin_width", "lowest_edge", "counts")
 
-    def __post_init__(self):
+    def __init__(self, bin_width: float, lowest_edge: float, counts: np.ndarray):
+        self._set_fields(bin_width, lowest_edge, counts)
         freeze_columns(self, counts=None)
         if not 0 < self.bin_width < math.inf:
             raise ValueError("bin_width must be finite and above 0")
@@ -76,12 +74,11 @@ class Histogram:
         return int(round(self.counts.sum()))
 
 
-@dataclass(frozen=True)
-class NormalFit:
-    xi: float
-    sigma: float
-    amplitude: float
-    rss: float
+class NormalFit(Record):
+    __slots__ = ("xi", "sigma", "amplitude", "rss")
+
+    def __init__(self, xi: float, sigma: float, amplitude: float, rss: float):
+        self._set_fields(xi, sigma, amplitude, rss)
 
 
 def totals(

@@ -27,6 +27,7 @@ __all__ = [
     "resource_ratio", "revise_target", "scenario_from_json", "revision_to_json",
 ]
 
+# each field set on its own: Record._set_fields would add about 0.5 us to a revision
 _set = object.__setattr__
 _ORDER = "{}: intervals must satisfy 0 <= n <= m <= N in order"
 _INF = math.inf

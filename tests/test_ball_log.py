@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import re
 import sys
@@ -73,7 +72,8 @@ class TestParseMatch:
         innings = parse_match(fixture_path("tiny_odi.json").read_bytes()).innings[0]
         assert len(innings.deliveries) == innings.over.size
         # reading the rows leaves the innings holding its eight fields and nothing else
-        assert list(vars(innings)) == [f.name for f in dataclasses.fields(InningsRecord)]
+        assert not hasattr(innings, "__dict__")
+        assert InningsRecord.__slots__ == ("innings_index", "batting_team", *ball_log._COLUMNS)
 
     def test_wide_is_normalized_illegal(self):
         rec = parse_match(fixture_path("tiny_odi.json").read_text())
@@ -561,6 +561,18 @@ def test_a_directory_named_as_a_match_file_is_one_diagnostic(tmp_path, monkeypat
         assert [m.match_id for m in matches] == ["tiny_odi", "tiny_t20i"]
         assert diagnostics == [("broken.json", "Is a directory")]
     assert parsed == ["tiny_odi.json", "tiny_t20i.json"]
+
+
+def test_the_cache_key_follows_the_record_base(tmp_path, monkeypatch):
+    # the key read from a copy of the package's sources, then after an edit to fits.py
+    for source in Path(record_cache.__file__).parent.glob("*.py"):
+        (tmp_path / source.name).write_bytes(source.read_bytes())
+    key = record_cache._cache_key()
+    monkeypatch.setattr(record_cache, "__file__", str(tmp_path / "record_cache.py"))
+    assert record_cache._cache_key() == key
+    with open(tmp_path / "fits.py", "a") as f:
+        f.write("# an edit\n")
+    assert record_cache._cache_key() != key
 
 
 def test_a_directory_in_the_caches_place_loads_and_writes_nothing(tmp_path, monkeypatch):
@@ -1228,6 +1240,22 @@ def test_records_of_a_log_or_a_warm_cache_share_its_columns(tmp_path):
         for name in ball_log._COLUMNS:
             owners = {id(getattr(inn, name).base) for inn in innings}
             assert len(innings) == 6 and len(owners) == 1 and None not in owners
+
+
+def test_an_innings_split_in_a_log_keeps_its_gathered_columns(monkeypatch):
+    built = []
+
+    def build(*args):
+        built.append(args)
+        return InningsRecord(*args)
+
+    monkeypatch.setattr(csv_log, "InningsRecord", build)
+    # m1's first innings is split by a row of m2, so its columns are gathered
+    split = log("m1,t20i,1,0,1,true,1,0,none,false", "m2,t20i,1,0,1,true,1,0,none,false",
+                "m1,t20i,1,0,2,true,4,0,none,true")
+    (inn,), _ = (match.innings for match in csv_log.read_log(split))
+    assert inn.batter_runs.tolist() == [1, 4] and inn.wicket.tolist() == [False, True]
+    assert all(getattr(inn, name) is column for name, column in zip(ball_log._COLUMNS, built[0][2:]))
 
 
 # ---------------------------------------------------------------------------

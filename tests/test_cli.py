@@ -423,6 +423,14 @@ class TestTarget:
         assert code == 2
         assert "error" in capsys.readouterr().err
 
+    def test_an_unreadable_file_is_named_once(self, tmp_path, capsys):
+        fits = write_json(tmp_path / "fits.json", WORKED_FITS)
+        for scenario, reason in ((tmp_path, "Is a directory"),
+                                 (tmp_path / "missing.json", "No such file or directory")):
+            code = main(["target", "--scenario", str(scenario), "--fits", str(fits)])
+            assert code == 2
+            assert capsys.readouterr().err == f"error: cannot read {scenario}: {reason}\n"
+
     def test_deterministic_stdout(self, tmp_path, capsys):
         scenario = write_json(tmp_path / "scenario.json", WORKED_SCENARIO)
         fits = write_json(tmp_path / "fits.json", WORKED_FITS)

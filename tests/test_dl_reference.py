@@ -340,6 +340,13 @@ class TestResourceTable:
         with pytest.raises(ParseError, match="^cannot read .*utf-8"):
             load_resource_table(path)
 
+    def test_an_unreadable_file_is_named_once(self, tmp_path):
+        for path, reason in [(tmp_path / "missing.csv", "No such file or directory"),
+                             (tmp_path, "Is a directory")]:
+            with pytest.raises(ParseError) as exc:
+                load_resource_table(path)
+            assert str(exc.value) == f"cannot read {path}: {reason}"
+
     def test_blank_lines_are_skipped(self, odi_table, tmp_path):
         rows = resource_table_csv(odi_table).splitlines()
         plain, spaced = tmp_path / "plain.csv", tmp_path / "spaced.csv"

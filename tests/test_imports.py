@@ -1,5 +1,6 @@
-"""What each entry point imports: the lazy package root, and a decision path
-(``rainrule target``) that never loads numpy, checked in fresh interpreters."""
+"""What each entry point imports: the lazy package root, a decision path
+(``rainrule target``) that never loads numpy, and batch commands that load no
+``dataclasses``, checked in fresh interpreters."""
 
 from __future__ import annotations
 
@@ -139,6 +140,21 @@ def test_fitting_commands_load_no_masked_arrays(tmp_path, command):
     code, _, modules = run_cli(tmp_path, *FITTING_COMMANDS[command])
     assert code == 0
     assert masked_array_modules(modules) - set(numpy_alone.stdout.split()) == set()
+
+
+# ingest reads a JSON corpus, so its reader and the record cache load, and writes a CSV log
+BATCH_COMMANDS = {"ingest": ("ingest", "--data-dir", "data", "--export-csv", "balls.csv"),
+                  "stats": ("stats", "--fixture", "--out", "out"), **FITTING_COMMANDS}
+
+
+@pytest.mark.parametrize("command", BATCH_COMMANDS)
+def test_batch_commands_load_no_dataclasses(tmp_path, command):
+    # any release of numpy may load it itself, which the command is not charged for
+    numpy_alone = fresh_python("-c", "import sys, numpy; print(*sys.modules)", cwd=tmp_path)
+    write_corpus(synthetic_corpus(MatchFormat.T20I, 2, seed=3), tmp_path / "data")
+    code, _, modules = run_cli(tmp_path, *BATCH_COMMANDS[command])
+    assert code == 0
+    assert "dataclasses" not in modules - set(numpy_alone.stdout.split())
 
 
 def test_every_public_name_resolves_to_its_home():
