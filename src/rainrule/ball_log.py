@@ -16,8 +16,8 @@ delivery rule once over its columns; each reader maps the first failing row
 (:class:`RowError`) back to its own position, a JSON path or a CSV line, as
 one :class:`ParseError`, so one bad file is one diagnostic in :func:`load_corpus`.
 
-:func:`load_corpus` keeps what it read of each ``.json`` file in the record
-cache of :mod:`rainrule.record_cache`, so an unchanged file is decoded once.
+:func:`load_corpus` keeps what it read of each data file in the record cache
+of :mod:`rainrule.record_cache`, so an unchanged file is decoded once.
 """
 
 from __future__ import annotations
@@ -89,10 +89,10 @@ _MAX_DELIVERY_RUNS = 100
 _I64 = np.iinfo(np.int64)
 # the least and the most each of over, ball_in_over, batter_runs, extras_runs and
 # kind may hold, and the least extras_runs by kind: the delivery rules as bounds
-_LEAST = np.array([[0], [1], [0], [0], [0]])
-_MOST = np.array([[_I64.max - 1], [_I64.max - 1], [_MAX_DELIVERY_RUNS], [_MAX_DELIVERY_RUNS],
-                  [len(_KINDS) - 1]])
-_LEAST_EXTRAS = (~LEGAL_BY_CODE).astype(np.int64)
+_LEAST = np.array([0, 1, 0, 0, 0])
+_MOST = np.array([_I64.max - 1, _I64.max - 1, _MAX_DELIVERY_RUNS, _MAX_DELIVERY_RUNS,
+                  len(_KINDS) - 1])
+_LEAST_EXTRAS = (~LEGAL_BY_CODE).astype(np.int8)
 _COLUMNS = ("over", "ball_in_over", "batter_runs", "extras_runs", "kind", "wicket")
 _COLUMN_DTYPES = {name: bool if name == "wicket" else np.int64 for name in _COLUMNS}
 
@@ -117,20 +117,19 @@ class RowError(ValueError):
         self.row = row
 
 
-def _first_bad_row(low: np.ndarray, high: np.ndarray, scarce: np.ndarray) -> RowError:
-    """The first row outside a bound, with the first rule it breaks: ``low`` and ``high``
-    mark the rows of each bounded column below :data:`_LEAST` and above :data:`_MOST`,
-    and ``scarce`` the rows whose extras fall below :data:`_LEAST_EXTRAS`."""
+def _row_error(columns, row: int) -> RowError:
+    """The first delivery rule that row ``row`` of the columns breaks."""
+    values = np.array([column[row] for column in columns[:5]])
+    low, high = values < _LEAST, values > _MOST
     rules = (
         (low[:2], "over must be >= 0 and ball_in_over >= 1"),
         (high[:2], "over or ball_in_over past int64"),
         (low[2:4], "negative runs"),
         (high[2:4], f"more than {_MAX_DELIVERY_RUNS} runs from one delivery"),
         (low[4:] | high[4:], "unknown extras kind code"),
-        (scarce[None], "wide/no-ball must credit at least one extra run"),
+        ([True], "wide/no-ball must credit at least one extra run"),
     )
-    row = int(((low | high).any(axis=0) | scarce).argmax())
-    return RowError(row, next(message for masks, message in rules if masks[:, row].any()))
+    return RowError(row, next(message for masks, message in rules if any(masks)))
 
 
 def freeze_columns(record, **dtypes) -> None:
@@ -155,6 +154,41 @@ def freeze_columns(record, **dtypes) -> None:
             raise ValueError("columns must be 1-D")
     if len({getattr(record, name).size for name in dtypes}) != 1:
         raise ValueError("columns differ in length")
+
+
+def checked_innings(heads, columns, starts: np.ndarray) -> list:
+    """The :class:`InningsRecord` of each innings of a table, or the ``ValueError``
+    ``InningsRecord(...)`` raises for it, a :class:`RowError` at its row of the table:
+    ``heads`` holds each innings' (index, batting team), and ``columns`` the record
+    columns (read-only, of the record dtypes, in memory nothing can write) of every
+    innings' rows, innings ``k`` from row ``starts[k]`` (nondecreasing, from 0).  The
+    rules are checked once over the table, and each record holds views of the columns."""
+    over, ball_in_over, _, extras_runs, kind, wicket = columns
+    outside = extras_runs < _LEAST_EXTRAS.take(kind, mode="clip")
+    for column, least, most in zip(columns, _LEAST, _MOST):
+        outside |= (column < least) | (column > most)
+    back = np.append(False, (over[1:] < over[:-1])  # a row bowled before the one above it
+                     | (over[1:] == over[:-1]) & (ball_in_over[1:] < ball_in_over[:-1]))
+    back[starts[starts < over.size]] = False  # an innings' first row follows another's
+    # the innings of each row that breaks a rule and of each wicket, counted from 1
+    faulty = np.searchsorted(starts, np.flatnonzero(outside | back), "right")
+    wickets = np.bincount(np.searchsorted(starts, np.flatnonzero(wicket), "right"))
+    broken = {*(faulty - 1).tolist(), *(np.flatnonzero(wickets > 10) - 1).tolist()}
+    bounds, records = [*starts.tolist(), over.size], []
+    for k, (index, team) in enumerate(heads):
+        first, end = bounds[k:k + 2]
+        if index not in (1, 2):
+            records.append(ValueError("innings_index must be 1 or 2"))
+        elif k not in broken:
+            records.append(InningsRecord.__new__(InningsRecord))
+            records[-1]._set_fields(index, team, *(column[first:end] for column in columns))
+        elif outside[first:end].any():
+            records.append(_row_error(columns, first + int(outside[first:end].argmax())))
+        elif back[first:end].any():
+            records.append(ValueError("deliveries not ordered by (over, ball_in_over)"))
+        else:
+            records.append(ValueError("more than 10 wickets in one innings"))
+    return records
 
 
 def value_eq(self, other) -> bool:
@@ -182,22 +216,10 @@ class InningsRecord(Record):
                  kind: np.ndarray, wicket: np.ndarray):
         self._set_fields(innings_index, batting_team, over, ball_in_over, batter_runs,
                          extras_runs, kind, wicket)
-        if self.innings_index not in (1, 2):
-            raise ValueError("innings_index must be 1 or 2")
         freeze_columns(self, **_COLUMN_DTYPES)
-        # every row rule at once as bounds, which also name the first failure
-        bounded = np.array(
-            [self.over, self.ball_in_over, self.batter_runs, self.extras_runs, self.kind]
-        )
-        low, high = bounded < _LEAST, bounded > _MOST
-        scarce = self.extras_runs < _LEAST_EXTRAS.take(self.kind, mode="clip")
-        if (low | high).any() or scarce.any():
-            raise _first_bad_row(low, high, scarce)
-        step = bounded[:2, 1:] - bounded[:2, :-1]  # within bounds, so it cannot wrap
-        if (np.where(step[0], step[0], step[1]) < 0).any():
-            raise ValueError("deliveries not ordered by (over, ball_in_over)")
-        if np.count_nonzero(self.wicket) > 10:
-            raise ValueError("more than 10 wickets in one innings")
+        [checked] = checked_innings([self._values()[:2]], self._values()[2:], np.zeros(1, int))
+        if isinstance(checked, ValueError):
+            raise checked
 
     __eq__ = value_eq
 
@@ -227,7 +249,8 @@ class MatchRecord(Record):
 
 class InningsTrajectory(Record):
     """Cumulative (runs, wickets) at each legal ball: one point per completed ball, or
-    one for the all-illegal innings, whose ``completed_balls`` stays 0.  ``ball``
+    one for the all-illegal innings, whose ``completed_balls`` stays 0.  Runs start at 0
+    or more and never fall; wickets stay within [0, 10] and never fall.  ``ball``
     (1..len(runs), a new array on each read) and ``total`` are derived."""
 
     __slots__ = ("runs", "wickets", "completed_balls")
@@ -235,11 +258,15 @@ class InningsTrajectory(Record):
     def __init__(self, runs: np.ndarray, wickets: np.ndarray, completed_balls: int):
         self._set_fields(runs, wickets, completed_balls)
         freeze_columns(self, runs=None, wickets=None)
-        points = self.runs.size
-        if not points:
+        runs, wickets = self.runs, self.wickets
+        if not runs.size:
             raise ValueError("a trajectory needs at least one point")
-        if self.completed_balls != points and (points, self.completed_balls) != (1, 0):
+        if self.completed_balls != runs.size and (runs.size, self.completed_balls) != (1, 0):
             raise ValueError("completed_balls must equal the number of points, or be 0 for one")
+        if runs[0] < 0 or (runs[1:] < runs[:-1]).any():
+            raise ValueError("runs must not start below 0 or fall")
+        if not 0 <= wickets[0] <= wickets[-1] <= 10 or (wickets[1:] < wickets[:-1]).any():
+            raise ValueError("wickets must stay within [0, 10] and not fall")
 
     __eq__ = value_eq
 
@@ -348,23 +375,24 @@ def load_corpus(
     the file it was first read from.  Matches are returned sorted by
     match_id, so the result does not depend on filesystem enumeration order.
 
-    What each ``.json`` file gave (its match and warnings, or the text of the
+    What each data file gave (its matches and warnings, or the text of the
     error it failed with) is kept in ``directory/.rainrule-cache``
     (:mod:`rainrule.record_cache`), keyed by the file's name, byte length and
-    CRC-32, so an unchanged file is not decoded again: its records are rebuilt
-    from the cached columns through the same checks.  Any other file is
-    parsed, and the cache is then rewritten whole, without the files no
-    longer there.  A change to the JSON reader, the record rules, Python or
-    numpy invalidates every entry.  A missing, unreadable or damaged cache
+    CRC-32, so an unchanged file is not decoded again: the cached innings are
+    one table, whose rules are checked once, and its records are views of it.
+    Any other file is parsed, and the cache is then rewritten whole, without
+    the files no longer there.  A change to a reader, the record rules, Python
+    or numpy invalidates every entry.  A missing, unreadable or damaged cache
     counts as empty, one that cannot be written is not written, and the file
     is always safe to delete: none of these changes a match or a diagnostic.
-    CSV ball logs are not cached.
     """
     root = Path(directory)
     if not root.is_dir():
         raise NotADirectoryError(f"not a readable directory: {root}")
 
-    cache = None  # opened at the first .json file, so CSV logs never load it
+    from .record_cache import RecordCache
+
+    cache = RecordCache(root)
     matches: list[MatchRecord] = []
     diagnostics: list[Diagnostic] = []
     first_read: dict[str, str] = {}  # match id -> the file it was kept from
@@ -377,14 +405,7 @@ def load_corpus(
         except OSError as e:  # its strerror alone, so the file is named once
             diagnostics.append(Diagnostic(path.name, e.strerror or str(e)))
             continue
-        if suffix == ".csv":
-            outcome = _outcome(raw, False, path)
-        else:
-            if cache is None:
-                from .record_cache import RecordCache
-
-                cache = RecordCache(root)
-            outcome = cache.outcome(path, raw)
+        outcome = cache.outcome(path, raw, suffix == ".json")
         if isinstance(outcome, str):
             diagnostics.append(Diagnostic(path.name, outcome))
             continue
@@ -398,8 +419,7 @@ def load_corpus(
             else:
                 first_read[mid] = path.name
                 matches.append(match)
-    if cache is not None:
-        cache.save()
+    cache.save()
 
     if format_filter is not None:
         matches = [m for m in matches if m.format is format_filter]

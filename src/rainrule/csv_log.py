@@ -14,7 +14,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .ball_log import (
-    LEGAL_BY_CODE, ExtrasKind, InningsRecord, MatchFormat, MatchRecord, RowError, decode,
+    LEGAL_BY_CODE, ExtrasKind, MatchFormat, MatchRecord, RowError, checked_innings, decode,
 )
 from .errors import DataError, ParseError, UnsupportedFormatError
 
@@ -86,27 +86,31 @@ def read_log(data: bytes | str) -> list[MatchRecord]:
     columns, runs, formats = _read_blocks(raw, breaks)
 
     # an innings is the runs of rows under one match id and innings index
-    by_match = {mid: (code, {}) for mid, code in formats.items()}
+    by_match = {mid: {} for mid in formats}
     n = columns[0].size
     for (a, mid, idx), b in zip(runs, [run[0] for run in runs[1:]] + [n]):
-        by_match[mid][1].setdefault(idx, []).append(slice(a, b))
-    records = []
-    for mid, (code, by_index) in by_match.items():
-        innings = []
-        for idx, pieces in by_index.items():
-            rows = pieces[0] if len(pieces) == 1 else np.r_[tuple(pieces)]
-            picked = [column[rows] for column in columns]  # gathered copies if split, else slices
-            for column in picked:  # frozen, so the record keeps them rather than copying again
-                column.setflags(write=False)
-            try:
-                innings.append(InningsRecord(idx, "", *picked))
-            except RowError as e:
-                line = _line(raw, int(np.arange(n)[rows][e.row]))
-                raise ParseError(f"bad delivery row: {e}", position=f"line {line}") from e
-            except ValueError as e:
-                raise ParseError(f"bad innings {idx} of match {mid!r}: {e}") from e
-        innings.sort(key=lambda inn: inn.innings_index)
-        records.append(MatchRecord(mid, _FORMATS[code], _CSV_EPOCH, ("", ""), "", innings))
+        by_match[mid].setdefault(idx, []).append(range(a, b))
+    innings = [(mid, idx, pieces) for mid, by_index in by_match.items()
+               for idx, pieces in by_index.items()]
+    pieces = [piece for *_, split in innings for piece in split]
+    rows = None  # each table row's log row, where the innings are not in the log's order
+    if any(piece.stop != after.start for piece, after in zip(pieces, pieces[1:])):
+        rows = np.concatenate([np.arange(piece.start, piece.stop) for piece in pieces])
+        columns = [column[rows] for column in columns]
+        for column in columns:  # frozen, as the records are views of it
+            column.setflags(write=False)
+    starts = np.cumsum([0] + [sum(map(len, split)) for *_, split in innings])[:-1]
+    built = checked_innings([(idx, "") for _, idx, _ in innings], columns, starts)
+    for (mid, idx, _), inn in zip(innings, built):
+        if isinstance(inn, RowError):
+            line = _line(raw, inn.row if rows is None else int(rows[inn.row]))
+            raise ParseError(f"bad delivery row: {inn}", position=f"line {line}") from inn
+        if isinstance(inn, ValueError):
+            raise ParseError(f"bad innings {idx} of match {mid!r}: {inn}") from inn
+    records, built = [], iter(built)
+    for mid, by_index in by_match.items():
+        match = sorted((next(built) for _ in by_index), key=lambda inn: inn.innings_index)
+        records.append(MatchRecord(mid, _FORMATS[formats[mid]], _CSV_EPOCH, ("", ""), "", match))
     return records
 
 
@@ -188,7 +192,7 @@ def _read_blocks(raw: bytes, breaks: tuple[bytes, ...]):
             if fields:
                 raise fail(f"expected 10 fields, found {fields}", r)
         at = to
-    for column in columns:  # frozen whole, so a record keeps its slice rather than a copy
+    for column in columns:  # frozen whole, so nothing can write a record's slice of it
         column.setflags(write=False)
     return [column[:r] for column in columns], runs, formats
 

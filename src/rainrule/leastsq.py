@@ -14,6 +14,7 @@ from collections.abc import Callable
 
 import numpy as np
 
+from .ball_log import value_eq
 from .fits import Record
 
 __all__ = ["FitOutcome", "damped_gauss_newton"]
@@ -27,9 +28,10 @@ _MAX_ITER = 500
 
 
 class FitOutcome(Record):
-    """Solution of a damped Gauss-Newton run."""
+    """Solution of a damped Gauss-Newton run, compared by value."""
 
     __slots__ = ("params", "rss", "iterations", "converged")
+    __eq__ = value_eq
 
     def __init__(self, params: np.ndarray, rss: float, iterations: int, converged: bool):
         self._set_fields(params, rss, iterations, converged)

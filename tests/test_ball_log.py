@@ -36,7 +36,7 @@ from rainrule import (
     qualifying_trajectories,
     trajectory,
 )
-from rainrule import ball_log, cricsheet, csv_log, fixtures, record_cache
+from rainrule import ball_log, cricsheet, csv_log, fixtures, leastsq, record_cache
 from rainrule.fixtures import fixture_path, synthetic_corpus, write_corpus
 from test_outputs import LAYOUTS as RELAID_LOGS
 
@@ -437,6 +437,10 @@ def json_names(directory) -> list[str]:
     return sorted(p.name for p in directory.glob("*.json"))
 
 
+def data_names(directory) -> list[str]:
+    return sorted(p.name for p in directory.iterdir() if p.suffix in (".json", ".csv"))
+
+
 def copy_fixtures(directory):
     for name in ("tiny_odi.json", "tiny_t20i.json"):
         (directory / name).write_bytes(fixture_path(name).read_bytes())
@@ -456,11 +460,11 @@ def test_a_warm_load_gives_what_the_cold_one_gave(tmp_path, monkeypatch):
     parsed = parses(monkeypatch)
     cold = loaded(tmp_path)
     assert sorted(parsed) == files
-    assert cached_names(tmp_path) == json_names(tmp_path)
+    assert cached_names(tmp_path) == files
     parsed.clear()
     warm = loaded(tmp_path)
     assert warm == cold
-    assert sorted(parsed) == sorted(p.name for p in tmp_path.glob("*.csv"))  # logs are not cached
+    assert parsed == []  # the log is cached too
     diagnostics = dict(cold[1])
     assert diagnostics["super_over.json"] == "dropped 6 deliveries in 1 innings beyond innings 2"
     assert diagnostics["tiny_odi.json"].startswith("duplicate match id 'tiny_odi'")
@@ -506,10 +510,10 @@ def with_header(raw: bytes, edit) -> bytes:
 
 
 def rows_past_the_columns(header: bytes) -> bytes:
-    """The header with the first file's first innings holding more rows than the cache."""
+    """The header with the first file's first innings starting past the cached table."""
     doc = json.loads(header)
-    innings = next(iter(doc["files"].values()))[2][6]  # [length, crc, entry], its innings
-    innings[0][2] = 1 << 40  # [index, team, rows, offset]
+    _, matches = next(iter(doc["files"].values()))[2]  # [length, crc, [warnings, matches]]
+    matches[0][5][0][2] = 1 << 40  # a match's innings: [index, team, first row]
     return json.dumps(doc).encode()
 
 
@@ -524,9 +528,16 @@ def spoil(raw: bytes, how: str) -> bytes:
         return raw[:len(raw) // 2]
     if how == "foreign":
         return b"not a record cache"
-    # the first innings' first over, after the 8 magic bytes, set to -1 under a CRC-32
-    # that matches: the record rebuilt from it breaks a delivery rule, so it is parsed
-    body = raw[:8] + b"\xff" * 8 + raw[16:-4]
+    # the table's first over, after the 8 magic bytes, set to -1 under a CRC-32 that
+    # matches: the first file's first innings breaks a delivery rule, so it is parsed
+    return with_row(raw, 0, -1)
+
+
+def with_row(raw: bytes, row: int, over: int) -> bytes:
+    """A cache with the over of row ``row`` of its table set to ``over``, under a CRC-32
+    that matches."""
+    at = 8 + 8 * row
+    body = raw[:at] + over.to_bytes(8, "little", signed=True) + raw[at + 8:-4]
     return body + zlib.crc32(body).to_bytes(4, "little")
 
 
@@ -543,8 +554,9 @@ def test_a_damaged_or_stale_cache_is_ignored_and_replaced(tmp_path, monkeypatch,
         cache.write_bytes(spoil(cache.read_bytes(), how))
     parsed = parses(monkeypatch)
     assert loaded(tmp_path) == cold
-    # a broken rule or an innings past the columns sends only its file to the parser
-    one = how in ("broken_rule", "rows_past_the_columns")
+    # a broken rule sends only its file to the parser; a header that does not describe
+    # the table, as any other damage, sends every file
+    one = how == "broken_rule"
     assert parsed == json_names(tmp_path)[:1 if one else None]
     parsed.clear()
     assert loaded(tmp_path) == cold and parsed == []
@@ -585,10 +597,62 @@ def test_a_directory_in_the_caches_place_loads_and_writes_nothing(tmp_path, monk
     assert sorted(tmp_path.rglob("*")) == before
 
 
-def test_a_directory_of_ball_logs_gets_no_cache(tmp_path):
+def test_a_directory_of_ball_logs_gets_a_cache(tmp_path, monkeypatch):
     export_csv(synthetic_corpus(MatchFormat.T20I, 2, seed=1), tmp_path / "balls.csv")
+    parsed = parses(monkeypatch)
     assert loaded(tmp_path) == loaded(tmp_path)
-    assert [p.name for p in tmp_path.iterdir()] == ["balls.csv"]
+    assert parsed == ["balls.csv"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == [record_cache.CACHE_NAME, "balls.csv"]
+
+
+def json_directory(directory):
+    write_corpus(synthetic_corpus(MatchFormat.ODI, 3, seed=7), directory)
+
+
+def log_directory(directory):
+    matches = synthetic_corpus(MatchFormat.T20I, 3, seed=1) + synthetic_corpus(MatchFormat.IPL, 2)
+    export_csv(matches, directory / "balls.csv")
+    export_csv(synthetic_corpus(MatchFormat.ODI, 1, seed=3), directory / "odi.csv")
+
+
+def mixed_directory(directory):
+    json_directory(directory)
+    log_directory(directory)
+    copy_fixtures(directory)
+
+
+@pytest.mark.parametrize("fill", [json_directory, log_directory, mixed_directory])
+def test_a_warm_load_is_the_cold_one_read_from_the_checked_table(tmp_path, monkeypatch, fill):
+    fill(tmp_path)
+    parsed = parses(monkeypatch)
+    cold = loaded(tmp_path)
+    assert sorted(parsed) == data_names(tmp_path) == cached_names(tmp_path)
+    parsed.clear()
+    monkeypatch.setattr(InningsRecord, "__init__", None)  # a warm record is built unchecked
+    warm = loaded(tmp_path)
+    assert warm == cold and parsed == []
+    innings = [inn for match in warm[0] for inn in match.innings]
+    for name in ball_log._COLUMNS:
+        columns = [getattr(inn, name) for inn in innings]
+        assert not any(column.flags.writeable for column in columns)
+        assert len({id(column.base) for column in columns}) == 1  # views of the one table
+
+
+def test_a_log_whose_cached_rows_break_a_rule_is_the_only_file_parsed(tmp_path, monkeypatch):
+    mixed_directory(tmp_path)
+    cold = loaded(tmp_path)
+    cache = tmp_path / record_cache.CACHE_NAME
+    raw = cache.read_bytes()
+    end = len(raw) - 12 - int.from_bytes(raw[-12:-4], "little")
+    files = json.loads(raw[end:-12])["files"]
+    # the over of the first row of the log's first innings, set to -1
+    _, matches = files["odi.csv"][2]
+    cache.write_bytes(with_row(raw, matches[0][5][0][2], -1))
+    parsed = parses(monkeypatch)
+    assert loaded(tmp_path) == cold
+    assert parsed == ["odi.csv"]
+    parsed.clear()
+    assert loaded(tmp_path) == cold and parsed == []
 
 
 def one_innings_both_ways(rows):
@@ -828,6 +892,7 @@ ARRAY_RECORDS = {
     ),
     "Histogram": lambda value: Histogram(10.0, 0.0, np.array([value, 2.0])),
     "ResourceTable": lambda value: ResourceTable(np.full((2, 11), float(value))),
+    "FitOutcome": lambda value: leastsq.FitOutcome(np.array([value, 2.0]), 0.5, 3, True),
 }
 
 
@@ -1245,17 +1310,19 @@ def test_records_of_a_log_or_a_warm_cache_share_its_columns(tmp_path):
 def test_an_innings_split_in_a_log_keeps_its_gathered_columns(monkeypatch):
     built = []
 
-    def build(*args):
-        built.append(args)
-        return InningsRecord(*args)
+    def build(heads, columns, starts):
+        built.append(columns)
+        return ball_log.checked_innings(heads, columns, starts)
 
-    monkeypatch.setattr(csv_log, "InningsRecord", build)
-    # m1's first innings is split by a row of m2, so its columns are gathered
+    monkeypatch.setattr(csv_log, "checked_innings", build)
+    # m1's first innings is split by a row of m2, so the table's columns are gathered
     split = log("m1,t20i,1,0,1,true,1,0,none,false", "m2,t20i,1,0,1,true,1,0,none,false",
                 "m1,t20i,1,0,2,true,4,0,none,true")
-    (inn,), _ = (match.innings for match in csv_log.read_log(split))
+    (inn,), (other,) = (match.innings for match in csv_log.read_log(split))
     assert inn.batter_runs.tolist() == [1, 4] and inn.wicket.tolist() == [False, True]
-    assert all(getattr(inn, name) is column for name, column in zip(ball_log._COLUMNS, built[0][2:]))
+    assert other.batter_runs.tolist() == [1]
+    for name, column in zip(ball_log._COLUMNS, built[0]):
+        assert getattr(inn, name).base is column and getattr(other, name).base is column
 
 
 # ---------------------------------------------------------------------------
@@ -1534,14 +1601,15 @@ def test_format_spellings_name_one_format(tmp_path, block):
 
 
 def record_builders(monkeypatch):
-    """The set that collects the name of each function in which the CSV reader builds an innings."""
+    """The set that collects the name of each function in which the CSV reader builds its
+    innings."""
     builders = set()
 
     def build(*args):
         builders.add(sys._getframe(1).f_code.co_name)
-        return InningsRecord(*args)
+        return ball_log.checked_innings(*args)
 
-    monkeypatch.setattr(csv_log, "InningsRecord", build)
+    monkeypatch.setattr(csv_log, "checked_innings", build)
     return builders
 
 
@@ -1598,9 +1666,48 @@ def test_csv_reader_agrees_with_the_reference_on_edge_logs(monkeypatch, block, c
     builders = record_builders(monkeypatch)
     got, want = read_both(text)
     assert isinstance(want, list) and got == want
-    assert builders == ({"read_log"} if want else set())
+    assert builders == {"read_log"}  # a log of no rows too, through the one builder
     if len(want) == 1:  # a str document of one match, as parse_match takes it
         assert parse_match(text) == want[0]
+
+
+def good_row(match_id="m1", index=1, over=0, ball=1, wicket="false"):
+    return f"{match_id},t20i,{index},{over},{ball},true,1,0,none,{wicket}"
+
+
+# logs with faults in two innings, each with the first fault it is refused for: innings
+# are checked match by match, each in the order its index first appears, and the first
+# innings that breaks a rule is named, its delivery rules before its innings rules
+TWO_FAULTS = {
+    "an_ordering_fault_checked_before_an_earlier_line": (
+        log(good_row(), "m2,t20i,1,0,1,true,-1,0,none,false",
+            good_row(index=2, over=1), good_row(index=2)),
+        "bad innings 2 of match 'm1': deliveries not ordered by (over, ball_in_over)",
+    ),
+    "an_innings_split_by_a_faulty_row": (
+        log(good_row(), "m2,t20i,1,0,1,true,101,0,none,false",
+            "m1,t20i,1,0,2,false,0,0,wide,false"),
+        "bad delivery row: wide/no-ball must credit at least one extra run (at line 4)",
+    ),
+    "eleven_wickets_then_an_index_of_3": (
+        log(*(good_row(ball=b, wicket="true") for b in range(1, 12)), good_row(index=3)),
+        "bad innings 1 of match 'm1': more than 10 wickets in one innings",
+    ),
+    "an_index_of_3_then_eleven_wickets": (
+        log(good_row(index=3), *(good_row(ball=b, wicket="true") for b in range(1, 12))),
+        "bad innings 3 of match 'm1': innings_index must be 1 or 2",
+    ),
+    "a_delivery_rule_after_an_ordering_fault": (
+        log(good_row(ball=2), good_row(), "m1,t20i,1,-1,1,true,0,0,none,false"),
+        "bad delivery row: over must be >= 0 and ball_in_over >= 1 (at line 4)",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", TWO_FAULTS)
+def test_a_log_with_two_faults_is_refused_for_its_first(block, case):
+    text, message = TWO_FAULTS[case]
+    assert read_both(text) == [message, message]
 
 
 @pytest.mark.parametrize("cell, spoiled", [("m1", b"m\xff"), ("none", b"n\xffne")])

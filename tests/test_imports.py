@@ -104,8 +104,9 @@ def test_each_format_module_loads_only_where_its_format_is_read_or_written(tmp_p
     code, _, modules = run_cli(tmp_path, "ingest", "--data-dir", "json",
                                "--export-csv", "log/balls.csv")
     assert code == 0 and FORMAT_MODULES <= modules
-    # ingest left the JSON corpus its record cache, so reading it again decodes nothing
-    for source, loaded in (("json", set()), ("log", {"rainrule.csv_log"})):
+    # ingest left the JSON corpus its record cache, so reading it again decodes nothing;
+    # the first stats on the log leaves it one, so the second decodes nothing either
+    for source, loaded in (("json", set()), ("log", {"rainrule.csv_log"}), ("log", set())):
         code, _, modules = run_cli(tmp_path, "stats", "--data-dir", source, "--out", "out")
         assert code == 0 and modules & FORMAT_MODULES == loaded, source
     (tmp_path / "json" / ".rainrule-cache").unlink()

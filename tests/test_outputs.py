@@ -29,6 +29,7 @@ import pytest
 
 from rainrule.cli import main
 from rainrule.fixtures import fixture_path
+from rainrule.record_cache import CACHE_NAME
 
 MANIFEST = Path(__file__).with_name("output_manifest.json")
 _INPUTS = ("example_scenario.json", "example_fits.json")
@@ -62,7 +63,8 @@ def versions() -> dict[str, str]:
 
 def run_from(root: Path, commands) -> dict[str, str | int]:
     """Each command's exit code and stdout and stderr digests, run from ``root`` beside
-    copies of the inputs, then the digest of every file left there but the inputs."""
+    copies of the inputs, then the digest of every file left there but the inputs and
+    record caches."""
     found: dict[str, str | int] = {}
     for name in _INPUTS:
         shutil.copyfile(fixture_path(name), root / name)
@@ -78,8 +80,9 @@ def run_from(root: Path, commands) -> dict[str, str | int]:
             found[f"{command}: stderr"] = _digest(stderr.getvalue().encode())
     finally:
         os.chdir(start)
+    # a record cache's bytes follow the files it keeps, by design, and are no output
     for path in sorted(root.rglob("*")):
-        if path.is_file() and path.name not in _INPUTS:
+        if path.is_file() and path.name not in (*_INPUTS, CACHE_NAME):
             found[f"file {path.relative_to(root).as_posix()}"] = _digest(path.read_bytes())
     return found
 

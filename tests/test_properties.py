@@ -369,6 +369,7 @@ def test_an_innings_record_keeps_its_rules_or_refuses(index, cols):
 )
 @example(cols={"runs": np.array([1, 3]), "wickets": np.array([0, 1])}, completed=2)
 @example(cols={"runs": np.array([2]), "wickets": np.array([0])}, completed=0)
+@example(cols={"runs": np.array([5, 3]), "wickets": np.array([0, 11])}, completed=2)
 def test_a_trajectory_keeps_its_rules_or_refuses(cols, completed):
     traj = built(InningsTrajectory, completed_balls=completed, **cols)
     if traj is None:
@@ -378,6 +379,9 @@ def test_a_trajectory_keeps_its_rules_or_refuses(cols, completed):
     assert n >= 1 and (completed == n or (n, completed) == (1, 0))
     assert ball.tolist() == list(range(1, n + 1)) and ball.dtype == np.int64
     assert total == traj.runs[-1] and len(points) == n
+    runs, wickets = traj.runs, traj.wickets
+    assert runs[0] >= 0 and (runs[1:] >= runs[:-1]).all()
+    assert wickets[0] >= 0 and wickets[-1] <= 10 and (wickets[1:] >= wickets[:-1]).all()
 
 
 @settings(derandomize=True, deadline=None, max_examples=300)
